@@ -60,6 +60,9 @@ pub struct StoreCounters {
     pub rebase_scanned: u64,
     /// Keys moved into rungs by re-bases.
     pub rebase_moved: u64,
+    /// Near-window split passes: overfull windows re-bucketed into a
+    /// finer rung level, or found to be one same-instant cluster.
+    pub splits: u64,
 }
 
 impl StoreCounters {
@@ -74,20 +77,22 @@ impl StoreCounters {
             rebases: self.rebases.saturating_sub(base.rebases),
             rebase_scanned: self.rebase_scanned.saturating_sub(base.rebase_scanned),
             rebase_moved: self.rebase_moved.saturating_sub(base.rebase_moved),
+            splits: self.splits.saturating_sub(base.splits),
         }
     }
 
     fn to_json(self) -> String {
         format!(
             "{{\"push_near\":{},\"push_rung\":{},\"push_far\":{},\"refills\":{},\
-             \"rebases\":{},\"rebase_scanned\":{},\"rebase_moved\":{}}}",
+             \"rebases\":{},\"rebase_scanned\":{},\"rebase_moved\":{},\"splits\":{}}}",
             self.push_near,
             self.push_rung,
             self.push_far,
             self.refills,
             self.rebases,
             self.rebase_scanned,
-            self.rebase_moved
+            self.rebase_moved,
+            self.splits
         )
     }
 }
@@ -350,6 +355,7 @@ mod tests {
         let base = StoreCounters {
             push_near: 10,
             refills: 2,
+            splits: 1,
             ..Default::default()
         };
         let p = EngineProfile::new(base);
@@ -357,12 +363,14 @@ mod tests {
             push_near: 25,
             push_far: 3,
             refills: 5,
+            splits: 4,
             ..Default::default()
         };
         let r = p.report(now);
         assert_eq!(r.store.push_near, 15);
         assert_eq!(r.store.push_far, 3);
         assert_eq!(r.store.refills, 3);
+        assert_eq!(r.store.splits, 3);
     }
 
     #[test]
@@ -383,7 +391,11 @@ mod tests {
         let mut p = EngineProfile::new(StoreCounters::default());
         let _ = p.record_dispatch(false, 2);
         p.sample_depth(7, 3, 2, 1, 0, &[1, 0]);
-        let j = p.report(StoreCounters::default()).to_json();
+        let store = StoreCounters {
+            splits: 2,
+            ..Default::default()
+        };
+        let j = p.report(store).to_json();
         for needle in [
             "\"timer_events\":0",
             "\"deliver_events\":2",
@@ -391,6 +403,7 @@ mod tests {
             "\"depth\":{\"sim_nanos\":[7]",
             "\"rung_peak\":[1,0]",
             "\"store\":{\"push_near\":0",
+            "\"rebase_moved\":0,\"splits\":2}",
         ] {
             assert!(j.contains(needle), "missing {needle} in {j}");
         }

@@ -35,6 +35,7 @@ fn store_counters(d: Diag) -> StoreCounters {
         rebases: d.rebases,
         rebase_scanned: d.rebase_scanned,
         rebase_moved: d.rebase_moved,
+        splits: d.splits,
     }
 }
 
