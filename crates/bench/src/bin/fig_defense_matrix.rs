@@ -44,6 +44,7 @@ use linkpad_adversary::aggregate::{
 };
 use linkpad_bench::perf::{defense_grid, provisioned_trunk_bps};
 use linkpad_bench::table::Table;
+use linkpad_bench::RunOpts;
 use linkpad_obs::EventLog;
 use linkpad_sim::fault::{FaultPlan, OutageSchedule};
 use linkpad_sim::time::SimDuration;
@@ -51,7 +52,6 @@ use linkpad_workloads::aggregate::PhaseSpec;
 use linkpad_workloads::scenario::ScenarioBuilder;
 use linkpad_workloads::shard::{ShardedAggregate, ShardedRun};
 use linkpad_workloads::spec::{PayloadModel, ScheduleSpec};
-use std::path::PathBuf;
 
 /// The ISSUE gate's N.
 const FLOWS: usize = 10_000;
@@ -97,36 +97,11 @@ fn byte_series(run: &ShardedRun, window: f64) -> (Vec<f64>, Vec<f64>) {
 }
 
 fn main() {
-    let mut report_path: Option<PathBuf> = None;
-    let mut events_path: Option<PathBuf> = None;
-    let mut argv = std::env::args().skip(1);
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "--report" | "--events" => match argv.next() {
-                Some(p) if arg == "--report" => report_path = Some(PathBuf::from(p)),
-                Some(p) => events_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("fig_defense_matrix: {arg} needs a path");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!("fig_defense_matrix: unknown argument {other:?}");
-                eprintln!("usage: fig_defense_matrix [--report <path>] [--events <path>]");
-                std::process::exit(2);
-            }
-        }
-    }
-    let observing = report_path.is_some() || events_path.is_some();
+    let opts = RunOpts::from_env("fig_defense_matrix", false);
+    let observing = opts.observing();
     let mut log = EventLog::new();
 
-    let quick = matches!(
-        std::env::var("LINKPAD_SCALE")
-            .ok()
-            .as_deref()
-            .map(str::trim),
-        Some("quick")
-    );
+    let quick = opts.scale.is_quick();
     let (shards, measured) = if quick { (2, 6) } else { (4, 12) };
     let defaults = ScenarioBuilder::aggregate(1, 1).defaults;
     let tau = defaults.tau;
@@ -172,7 +147,7 @@ fn main() {
             payload,
         ))
         .expect("sharded configuration valid");
-        if report_path.is_some() && label == "adaptive" {
+        if opts.report.is_some() && label == "adaptive" {
             sharded = sharded.with_profiling();
         }
         let run = if observing {
@@ -350,11 +325,11 @@ fn main() {
     gap_table.print();
     gap_table.save_csv("fig_defense_matrix_gaps").unwrap();
 
-    if let (Some(path), Some(manifest)) = (&report_path, &manifest) {
+    if let (Some(path), Some(manifest)) = (&opts.report, &manifest) {
         manifest.write(path).expect("write run manifest");
         println!("wrote run manifest to {}", path.display());
     }
-    if let Some(path) = &events_path {
+    if let Some(path) = &opts.events {
         log.write_jsonl(path).expect("write harness event log");
     }
     println!(

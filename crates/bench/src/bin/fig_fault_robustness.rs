@@ -48,13 +48,13 @@
 use linkpad_adversary::aggregate::{estimate_flow_count, estimate_flow_count_gap_aware};
 use linkpad_bench::perf::provisioned_trunk_bps;
 use linkpad_bench::table::Table;
+use linkpad_bench::RunOpts;
 use linkpad_obs::EventLog;
 use linkpad_sim::fault::{FaultPlan, LossModel, OutageSchedule};
 use linkpad_sim::observer::WindowStats;
 use linkpad_sim::time::SimDuration;
 use linkpad_workloads::scenario::ScenarioBuilder;
 use linkpad_workloads::shard::ShardedAggregate;
-use std::path::PathBuf;
 
 /// Flows in the estimation-accuracy table (the ISSUE gate's N).
 const FLOWS: usize = 10_000;
@@ -133,36 +133,11 @@ fn series_bits(windows: &[WindowStats]) -> Vec<u64> {
 }
 
 fn main() {
-    let mut report_path: Option<PathBuf> = None;
-    let mut events_path: Option<PathBuf> = None;
-    let mut argv = std::env::args().skip(1);
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "--report" | "--events" => match argv.next() {
-                Some(p) if arg == "--report" => report_path = Some(PathBuf::from(p)),
-                Some(p) => events_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("fig_fault_robustness: {arg} needs a path");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!("fig_fault_robustness: unknown argument {other:?}");
-                eprintln!("usage: fig_fault_robustness [--report <path>] [--events <path>]");
-                std::process::exit(2);
-            }
-        }
-    }
-    let observing = report_path.is_some() || events_path.is_some();
+    let opts = RunOpts::from_env("fig_fault_robustness", false);
+    let observing = opts.observing();
     let mut log = EventLog::new();
 
-    let quick = matches!(
-        std::env::var("LINKPAD_SCALE")
-            .ok()
-            .as_deref()
-            .map(str::trim),
-        Some("quick")
-    );
+    let quick = opts.scale.is_quick();
     let shards = if quick { 2 } else { 4 };
     let tau = ScenarioBuilder::aggregate(1, 1).defaults.tau;
     let window = WINDOW_OVER_TAU * tau;
@@ -374,7 +349,7 @@ fn main() {
     let mut bounded_agg = ShardedAggregate::new(h_builder())
         .expect("sharded configuration valid")
         .with_watchdog(Some(budget), None);
-    if report_path.is_some() {
+    if opts.report.is_some() {
         bounded_agg = bounded_agg.with_profiling();
     }
     let bounded = if observing {
@@ -411,13 +386,13 @@ fn main() {
         ),
     ]);
 
-    if let Some(path) = &report_path {
+    if let Some(path) = &opts.report {
         let manifest = bounded_agg.manifest("fig_fault_robustness", &bounded);
         assert!(manifest.interrupted, "the bounded manifest must say so");
         manifest.write(path).expect("write run manifest");
         println!("wrote run manifest (truncated run) to {}", path.display());
     }
-    if let Some(path) = &events_path {
+    if let Some(path) = &opts.events {
         log.write_jsonl(path).expect("write harness event log");
         println!("wrote harness event log to {}", path.display());
     }

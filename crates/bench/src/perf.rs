@@ -488,8 +488,8 @@ fn scenario_throughput_with(
 ///   indirection behind. This is the telemetry analogue of the fault
 ///   hook's "configured but fault-free plan is free" contract, and the
 ///   `<1%` gate `perf_baseline` asserts in-binary.
-/// * **enabled** — profiling on for the whole timed span (the outlined
-///   profiled loop, per-event recording, periodic depth samples). The
+/// * **enabled** — profiling on for the whole timed span (the engine's
+///   instrumented loop, per-event recording, periodic depth samples). The
 ///   honest cost of actually collecting an engine profile, recorded as
 ///   context rather than gated.
 #[derive(Debug, Clone, Copy)]
@@ -566,7 +566,7 @@ pub fn telemetry_overhead_aggregate(flows: usize, sim_secs: f64) -> TelemetryMea
 /// protocol as [`telemetry_overhead_event_loop`] — `disabled` is
 /// enable-then-disable and must match `plain` to noise (the `<1%` gate
 /// `perf_baseline` asserts for tracing too), `enabled` is the honest
-/// cost of the outlined traced loop with provenance threading.
+/// cost of the instrumented loop with provenance threading.
 pub fn tracing_overhead_event_loop(events: u64, pending: usize) -> TelemetryMeasurement {
     TelemetryMeasurement {
         plain_events_per_sec: sim_events_per_sec_with(events, pending, |_| {}),
@@ -618,7 +618,7 @@ pub fn aggregate_trunk_profile(flows: usize, sim_secs: f64) -> linkpad_obs::Prof
 /// where each dispatch's nanoseconds go (store pop + batch collection
 /// vs `Context` build vs the node handler), per node label. Runs the
 /// same warmed scenario as [`aggregate_trunk_profile`] through the
-/// engine's `run_until_attributed` twin, sampling every
+/// engine's `run_until_attributed`, sampling every
 /// `sample_every`-th dispatch. Recorded as context in the baseline's
 /// `engine_profile` section — evidence for the dispatch bound, never a
 /// gated number (it is wall-clock and container-dependent).

@@ -1,5 +1,6 @@
 //! Parallel experiment execution.
 
+use crate::opts::Scale;
 use linkpad_adversary::feature::Feature;
 use linkpad_adversary::pipeline::{DetectionReport, DetectionStudy};
 use linkpad_sim::parallel::parallel_map_init;
@@ -20,33 +21,20 @@ impl Budget {
     /// `quick` → 60/40, `paper` (the default when unset) → 150/100.
     /// Unrecognized values warn on stderr and fall back to `paper`.
     pub fn from_env() -> Self {
-        Self::from_scale(std::env::var("LINKPAD_SCALE").ok().as_deref())
+        Self::for_scale(Scale::from_env())
     }
 
-    /// [`Budget::from_env`]'s pure core, testable without touching the
-    /// process environment.
-    ///
-    /// The value is trimmed first, so `"paper "` or `" quick"` (easy to
-    /// produce in shell wrappers and CI YAML) select the intended budget
-    /// instead of tripping the unknown-value warning.
-    pub fn from_scale(scale: Option<&str>) -> Self {
-        let paper = Budget {
-            train: 150,
-            test: 100,
-        };
-        match scale.map(str::trim) {
-            Some("quick") => Budget {
+    /// The budget of an already parsed scale ([`Scale::parse`]).
+    pub fn for_scale(scale: Scale) -> Self {
+        match scale {
+            Scale::Quick => Budget {
                 train: 60,
                 test: 40,
             },
-            None | Some("paper") => paper,
-            Some(other) => {
-                eprintln!(
-                    "warning: unrecognized LINKPAD_SCALE={other:?} \
-                     (expected \"quick\" or \"paper\"); defaulting to \"paper\""
-                );
-                paper
-            }
+            Scale::Paper => Budget {
+                train: 150,
+                test: 100,
+            },
         }
     }
 
@@ -209,24 +197,25 @@ mod tests {
 
     #[test]
     fn scale_selection_handles_quick_paper_and_garbage() {
-        let quick = Budget::from_scale(Some("quick"));
+        let from_scale = |s| Budget::for_scale(Scale::parse(s));
+        let quick = from_scale(Some("quick"));
         assert_eq!((quick.train, quick.test), (60, 40));
-        let paper = Budget::from_scale(Some("paper"));
+        let paper = from_scale(Some("paper"));
         assert_eq!((paper.train, paper.test), (150, 100));
-        let unset = Budget::from_scale(None);
+        let unset = from_scale(None);
         assert_eq!(unset, paper);
         // Surrounding whitespace (shell wrappers, CI YAML) is trimmed,
         // not treated as garbage.
         for padded in ["paper ", " paper", "\tpaper\n"] {
-            assert_eq!(Budget::from_scale(Some(padded)), paper, "{padded:?}");
+            assert_eq!(from_scale(Some(padded)), paper, "{padded:?}");
         }
         for padded in ["quick ", " quick "] {
-            assert_eq!(Budget::from_scale(Some(padded)), quick, "{padded:?}");
+            assert_eq!(from_scale(Some(padded)), quick, "{padded:?}");
         }
         // Genuinely unknown values warn (stderr) but never change the
         // budget; whitespace-only is unknown, not "paper".
-        for garbage in ["QUICK", "fast", "", "   ", "pa per"] {
-            assert_eq!(Budget::from_scale(Some(garbage)), paper, "{garbage:?}");
+        for garbage in ["QUICK", "Quick", "fast", "", "   ", "pa per"] {
+            assert_eq!(from_scale(Some(garbage)), paper, "{garbage:?}");
         }
     }
 

@@ -16,8 +16,8 @@
 //! [`Node::label`]: crate::node::Node::label
 //!
 //! This is deliberately the **one wall-clock file in `linkpad-sim`**:
-//! the engine's [`run_until_attributed`] twin calls only sampler
-//! methods, so `engine.rs` itself contains no `Instant` tokens and the
+//! [`run_until_attributed`] calls only sampler methods, so `engine.rs`
+//! reads the clock only for the watchdog's opt-in wall budget and the
 //! `DET_WALLCLOCK` allowlist entry for this file is file+fragment
 //! scoped. Nothing here feeds back into simulation state — the sampler
 //! is write-only from the engine's perspective and the attributed run's

@@ -13,14 +13,12 @@
 //! instant are dispatched as one [`Node::on_packets`] batch, amortizing
 //! the virtual call per packet to a virtual call per burst.
 
+use crate::attr::AttributionSampler;
 use crate::equeue::{Diag, Event, EventKind, EventQueue};
 use crate::node::{Node, NodeId};
 use crate::packet::{FlowId, Packet, PacketKind};
 use crate::time::{SimDuration, SimTime};
-// The causal-trace recorder gets an alias: `linkpad_sim` has its own
-// (packet-level) `trace::TraceRecorder` node, and the two must not be
-// confused at a glance.
-use linkpad_obs::trace::{TraceEventKind, TraceRecorder as CausalTrace};
+use linkpad_obs::trace::{TraceEventKind, TraceRecorder};
 use linkpad_obs::{EngineProfile, ProfileReport, StoreCounters, TraceReport};
 use linkpad_stats::rng::{MasterSeed, Xoshiro256StarStar};
 
@@ -147,6 +145,19 @@ struct Watchdog {
     deadline: Option<std::time::Instant>,
 }
 
+impl Watchdog {
+    /// Has the budget run out, with `total_events` dispatched over the
+    /// sim's life and `checks` events dispatched in this run? The wall
+    /// clock is read only every 1024th check.
+    fn expired(&self, total_events: u64, checks: u64) -> bool {
+        self.max_events.is_some_and(|m| total_events >= m)
+            || (checks & 1023 == 0
+                && self
+                    .deadline
+                    .is_some_and(|d| std::time::Instant::now() >= d))
+    }
+}
+
 /// Statistics from a run segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RunStats {
@@ -178,7 +189,7 @@ pub struct Sim {
     /// one-pointer/one-branch disabled contract as the profile. The
     /// queue's provenance hook ([`EventQueue::trace_arm`]) is armed
     /// exactly while this is `Some`.
-    trace: Option<Box<CausalTrace>>,
+    trace: Option<Box<TraceRecorder>>,
 }
 
 impl Sim {
@@ -254,7 +265,7 @@ impl Sim {
     /// profiled span. Profiles are a pure function of `(spec, seed)` —
     /// bit-identical across reruns and resets. Enabling on an already
     /// profiled sim restarts the profile from now. While enabled, runs
-    /// take an outlined profiled loop (cost asserted <1 % disabled,
+    /// take the instrumented loop (cost asserted <1 % disabled,
     /// and reported while enabled, by `perf_baseline`).
     pub fn enable_profiling(&mut self) {
         let base = store_counters(self.queue.diag());
@@ -290,7 +301,7 @@ impl Sim {
     /// queue logs, for each scheduled event, which event's handler
     /// scheduled it. Traces are a pure function of `(spec, seed)`, like
     /// profiles. Enabling on an already traced sim restarts the trace
-    /// from now. While enabled, runs take an outlined traced loop (cost
+    /// from now. While enabled, runs take the instrumented loop (cost
     /// asserted <1 % *disabled*, and reported while enabled, by
     /// `perf_baseline`).
     pub fn enable_tracing(&mut self) {
@@ -302,14 +313,14 @@ impl Sim {
                     .iter()
                     .map(|n| n.label().to_string())
                     .collect::<Vec<_>>();
-                self.trace = Some(Box::new(CausalTrace::new(labels)));
+                self.trace = Some(Box::new(TraceRecorder::new(labels)));
             }
         }
         self.queue.trace_arm();
     }
 
     /// Drop the causal trace (if any), disarm the queue's provenance
-    /// hook, and return runs to the plain un-instrumented loop.
+    /// hook, and return runs to the plain loop.
     pub fn disable_tracing(&mut self) {
         self.trace = None;
         self.queue.trace_disarm();
@@ -371,158 +382,104 @@ impl Sim {
     /// armed watchdog budget ([`Sim::set_watchdog`]) may end the run
     /// early.
     pub fn run_until(&mut self, until: SimTime) -> RunStats {
-        // Unarmed, unprofiled sims — every benchmark and the
-        // overwhelmingly common case — take two predictable branches
-        // here and then the exact pre-watchdog function body.
-        // Everything watchdog- and profile-related lives in outlined
-        // variants so their control flow and code size never perturb
-        // this loop's codegen.
-        if self.watchdog.is_some() || self.watchdog_tripped {
-            return self.run_until_guarded(until);
+        // Unarmed, unprofiled, untraced sims — every benchmark and the
+        // overwhelmingly common case — take four predictable branches
+        // here and then the plain instantiation of the one run loop.
+        // Everything watchdog-, trace- and profile-related lives in the
+        // outlined instrumented instantiation, so its control flow and
+        // code size never perturb this loop's codegen.
+        if self.watchdog.is_some()
+            || self.watchdog_tripped
+            || self.trace.is_some()
+            || self.profile.is_some()
+        {
+            return self.run_instrumented(until, None);
         }
-        // Trace before profile: the traced loop also records into an
-        // enabled profile (via `record_profile`), the reverse does not.
-        if self.trace.is_some() {
-            return self.run_until_traced(until);
-        }
-        if self.profile.is_some() {
-            return self.run_until_profiled(until);
-        }
-        self.ensure_started();
-        let mut events = 0u64;
-        while let Some(entry) = self.queue.pop_at_or_before(until) {
-            self.now = entry.time;
-            events += self.dispatch(entry);
-        }
-        // Advance the clock to the bound even if the store drained early,
-        // so consecutive run_until calls observe monotone time.
-        if self.now < until && until != SimTime::MAX {
-            self.now = until;
-        }
-        self.events_processed += events;
-        RunStats {
-            events,
-            ended_at_nanos: self.now.as_nanos(),
-        }
+        self.run_loop::<false>(until, None)
     }
 
-    /// [`Sim::run_until`] with an armed (or already tripped) watchdog:
-    /// dispatch until the bound, the store draining, or the budget
-    /// tripping. A tripped watchdog leaves the clock at the last event —
-    /// the simulated-up-to point callers truncate partial results at —
-    /// and makes subsequent runs no-ops until re-armed or reset.
+    /// [`Sim::run_until`] with per-node-type wall-time attribution: each
+    /// dispatch is split into its three phases — event-store work (pop +
+    /// batch collection), [`Context`] build, and the node handler — with
+    /// each sampled dispatch's phase times credited to the target node's
+    /// label. A `perf_baseline` measurement harness, not a simulation
+    /// feature: the sampler is write-only, so the simulated results are
+    /// bit-identical to a plain run. An armed watchdog, profile or trace
+    /// applies exactly as in [`Sim::run_until`]. All wall-clock reads
+    /// live in [`crate::attr`] — the engine calls only sampler methods.
+    pub fn run_until_attributed(
+        &mut self,
+        until: SimTime,
+        sampler: &mut AttributionSampler,
+    ) -> RunStats {
+        self.run_instrumented(until, Some(sampler))
+    }
+
+    /// The one instrumented instantiation of the run loop: watchdog,
+    /// profile, trace and attribution sampler are each a plain `Option`
+    /// branch inside it, so every combination composes. Outlined and
+    /// cold so none of it re-inlines into [`Sim::run_until`]'s plain
+    /// loop.
     #[cold]
     #[inline(never)]
-    fn run_until_guarded(&mut self, until: SimTime) -> RunStats {
-        if self.watchdog_tripped {
+    fn run_instrumented(
+        &mut self,
+        until: SimTime,
+        sampler: Option<&mut AttributionSampler>,
+    ) -> RunStats {
+        self.run_loop::<true>(until, sampler)
+    }
+
+    /// The event loop. `INSTRUMENTED = false` is the plain loop, which
+    /// never looks at the watchdog, profile, trace or sampler;
+    /// `INSTRUMENTED = true` is instantiated only in
+    /// [`Sim::run_instrumented`]. A tripped watchdog leaves the clock at
+    /// the last event — the simulated-up-to point callers truncate
+    /// partial results at — and makes subsequent runs no-ops until
+    /// re-armed or reset.
+    ///
+    /// Keep the `while let` form with the sampler call inside the pop
+    /// expression: a `loop { begin(); let Some(entry) = pop() else
+    /// { break }; .. }` body made LLVM copy the 64-byte `Event` into a
+    /// second stack slot every iteration, even in the plain
+    /// instantiation (−7 % events/s on a dispatch-bound workload).
+    #[inline(always)]
+    fn run_loop<const INSTRUMENTED: bool>(
+        &mut self,
+        until: SimTime,
+        mut sampler: Option<&mut AttributionSampler>,
+    ) -> RunStats {
+        if INSTRUMENTED && self.watchdog_tripped {
             return RunStats {
                 events: 0,
                 ended_at_nanos: self.now.as_nanos(),
             };
         }
-        let Some(wd) = self.watchdog else {
-            // run_until only dispatches here with an armed or already
-            // tripped watchdog, and tripped returned above — but if
-            // that ever changes, degrade to the unarmed loop (watchdog
-            // is None, so run_until takes its plain branch) rather
-            // than panicking on a run path.
-            return self.run_until(until);
-        };
         self.ensure_started();
+        let watchdog = if INSTRUMENTED { self.watchdog } else { None };
         let mut events = 0u64;
         let mut checks = 0u64;
-        while let Some(entry) = self.queue.pop_at_or_before(until) {
+        while let Some(entry) = {
+            if INSTRUMENTED {
+                if let Some(s) = sampler.as_deref_mut() {
+                    s.begin();
+                }
+            }
+            self.queue.pop_at_or_before(until)
+        } {
             self.now = entry.time;
-            let is_timer = matches!(entry.kind, EventKind::Timer(_));
-            // Tracing composes with the watchdog the same way profiling
-            // does: the guarded loop takes over the outer loop, the
-            // traced dispatch keeps recording.
-            let consumed = if self.trace.is_some() {
-                self.dispatch_traced(entry)
-            } else {
-                self.dispatch(entry)
-            };
-            events += consumed;
-            self.record_profile(is_timer, consumed);
-            checks += 1;
-            let events_over = wd
-                .max_events
-                .is_some_and(|m| self.events_processed + events >= m);
-            let wall_over =
-                checks & 1023 == 0 && wd.deadline.is_some_and(|d| std::time::Instant::now() >= d);
-            if events_over || wall_over {
-                self.watchdog_tripped = true;
-                break;
+            events += self.dispatch::<INSTRUMENTED, true>(entry, sampler.as_deref_mut());
+            if let Some(wd) = &watchdog {
+                checks += 1;
+                if wd.expired(self.events_processed + events, checks) {
+                    self.watchdog_tripped = true;
+                    break;
+                }
             }
         }
-        if self.now < until && until != SimTime::MAX && !self.watchdog_tripped {
-            self.now = until;
-        }
-        self.events_processed += events;
-        RunStats {
-            events,
-            ended_at_nanos: self.now.as_nanos(),
-        }
-    }
-
-    /// [`Sim::run_until`] with engine self-profiling enabled (and no
-    /// watchdog — the guarded variant records into the profile itself
-    /// when both are armed): the plain loop plus per-event profile
-    /// recording, outlined exactly like the watchdog so the
-    /// un-instrumented loop's codegen is untouched.
-    #[cold]
-    #[inline(never)]
-    fn run_until_profiled(&mut self, until: SimTime) -> RunStats {
-        if self.profile.is_none() {
-            // Only reachable if the routing in run_until changes; fall
-            // back to the plain loop rather than panicking on a run
-            // path.
-            return self.run_until(until);
-        }
-        self.ensure_started();
-        let mut events = 0u64;
-        while let Some(entry) = self.queue.pop_at_or_before(until) {
-            self.now = entry.time;
-            let is_timer = matches!(entry.kind, EventKind::Timer(_));
-            let consumed = self.dispatch(entry);
-            events += consumed;
-            self.record_profile(is_timer, consumed);
-        }
-        if self.now < until && until != SimTime::MAX {
-            self.now = until;
-        }
-        self.events_processed += events;
-        RunStats {
-            events,
-            ended_at_nanos: self.now.as_nanos(),
-        }
-    }
-
-    /// [`Sim::run_until`] with causal tracing enabled (and no watchdog —
-    /// the guarded variant dispatches through the traced path itself
-    /// when both are armed): the profiled loop's shape with the traced
-    /// dispatch, outlined so the plain loop's codegen is untouched.
-    /// Also records into an enabled profile, so tracing and profiling
-    /// compose.
-    #[cold]
-    #[inline(never)]
-    fn run_until_traced(&mut self, until: SimTime) -> RunStats {
-        if self.trace.is_none() {
-            // Only reachable if the routing in run_until changes; fall
-            // back to the plain loop rather than panicking on a run
-            // path.
-            return self.run_until(until);
-        }
-        self.ensure_started();
-        let mut events = 0u64;
-        while let Some(entry) = self.queue.pop_at_or_before(until) {
-            self.now = entry.time;
-            let is_timer = matches!(entry.kind, EventKind::Timer(_));
-            let consumed = self.dispatch_traced(entry);
-            events += consumed;
-            self.record_profile(is_timer, consumed);
-        }
-        if self.now < until && until != SimTime::MAX {
+        // Advance the clock to the bound even if the store drained early,
+        // so consecutive run_until calls observe monotone time.
+        if self.now < until && until != SimTime::MAX && !(INSTRUMENTED && self.watchdog_tripped) {
             self.now = until;
         }
         self.events_processed += events;
@@ -534,9 +491,9 @@ impl Sim {
 
     /// Move pending scheduler birth records (child seq → parent seq)
     /// from the queue's log into the trace recorder's provenance map.
-    /// Called at the top of every traced dispatch, so an event's birth
-    /// is always in the map before the event fires or is absorbed into
-    /// a batch.
+    /// Called at the top of every instrumented dispatch, so an event's
+    /// birth is always in the map before the event fires or is absorbed
+    /// into a batch.
     fn drain_births(&mut self) {
         let Some(t) = self.trace.as_deref_mut() else {
             return;
@@ -548,162 +505,8 @@ impl Sim {
         }
     }
 
-    /// [`Sim::dispatch`] plus trace recording. The event semantics are
-    /// a deliberate line-for-line twin of the untraced dispatch — the
-    /// traced≡untraced determinism test pins the two together — with
-    /// provenance bookkeeping around the handler call: drain births,
-    /// mark this event as the current parent, retire batched events'
-    /// provenance as they are collected, record after the handler.
-    #[cold]
-    #[inline(never)]
-    fn dispatch_traced(&mut self, entry: Event) -> u64 {
-        self.drain_births();
-        self.queue.trace_set_current(entry.seq);
-        let target = entry.target;
-        debug_assert!(target < self.nodes.len(), "event for unknown node");
-        let (kind, consumed) = match entry.kind {
-            EventKind::Timer(tag) => {
-                let (node, mut ctx) = split_at(
-                    &mut self.nodes,
-                    &mut self.rngs,
-                    &mut self.queue,
-                    self.now,
-                    &mut self.seq,
-                    &mut self.next_packet_id,
-                    target,
-                );
-                node.on_timer(tag, &mut ctx);
-                (TraceEventKind::Timer, 1)
-            }
-            EventKind::Deliver(pkt) => {
-                let mut batch = std::mem::take(&mut self.deliver_buf);
-                batch.clear();
-                batch.push(pkt);
-                while let Some((tail_seq, next)) =
-                    self.queue.pop_deliver_if_keyed(entry.time, target)
-                {
-                    batch.push(next);
-                    // The batched event never fires on its own — retire
-                    // its provenance entry here (its children attribute
-                    // to the batch head, `entry.seq`).
-                    if let Some(t) = self.trace.as_deref_mut() {
-                        t.absorb(tail_seq);
-                    }
-                }
-                let consumed = batch.len() as u64;
-                let (node, mut ctx) = split_at(
-                    &mut self.nodes,
-                    &mut self.rngs,
-                    &mut self.queue,
-                    self.now,
-                    &mut self.seq,
-                    &mut self.next_packet_id,
-                    target,
-                );
-                node.on_packets(&mut batch, &mut ctx);
-                batch.clear();
-                self.deliver_buf = batch;
-                (TraceEventKind::Deliver, consumed)
-            }
-        };
-        if let Some(t) = self.trace.as_deref_mut() {
-            t.dispatched(
-                entry.seq,
-                self.now.as_nanos(),
-                target as u32,
-                kind,
-                consumed as u32,
-            );
-        }
-        consumed
-    }
-
-    /// [`Sim::run_until`] with per-node-type wall-time attribution: the
-    /// plain dispatch split into its three phases — event-store work
-    /// (pop + batch collection), [`Context`] build, and the node
-    /// handler — with each sampled dispatch's phase times credited to
-    /// the target node's label. A `perf_baseline` measurement harness
-    /// (ROADMAP open item 4, "where do the ~50 ns/event go"), not a
-    /// simulation feature: the sampler is write-only, so the simulated
-    /// results are bit-identical to a plain run. Ignores the watchdog
-    /// and profile (callers measure un-instrumented runs). All
-    /// wall-clock reads live in [`crate::attr`] — this function calls
-    /// only sampler methods.
-    #[cold]
-    #[inline(never)]
-    pub fn run_until_attributed(
-        &mut self,
-        until: SimTime,
-        sampler: &mut crate::attr::AttributionSampler,
-    ) -> RunStats {
-        self.ensure_started();
-        let mut events = 0u64;
-        loop {
-            sampler.begin();
-            let Some(entry) = self.queue.pop_at_or_before(until) else {
-                break;
-            };
-            self.now = entry.time;
-            let target = entry.target;
-            debug_assert!(target < self.nodes.len(), "event for unknown node");
-            let consumed = match entry.kind {
-                EventKind::Timer(tag) => {
-                    sampler.lap_store();
-                    let (node, mut ctx) = split_at(
-                        &mut self.nodes,
-                        &mut self.rngs,
-                        &mut self.queue,
-                        self.now,
-                        &mut self.seq,
-                        &mut self.next_packet_id,
-                        target,
-                    );
-                    sampler.lap_context();
-                    node.on_timer(tag, &mut ctx);
-                    1
-                }
-                EventKind::Deliver(pkt) => {
-                    let mut batch = std::mem::take(&mut self.deliver_buf);
-                    batch.clear();
-                    batch.push(pkt);
-                    while let Some(next) = self.queue.pop_deliver_if(entry.time, target) {
-                        batch.push(next);
-                    }
-                    sampler.lap_store();
-                    let consumed = batch.len() as u64;
-                    let (node, mut ctx) = split_at(
-                        &mut self.nodes,
-                        &mut self.rngs,
-                        &mut self.queue,
-                        self.now,
-                        &mut self.seq,
-                        &mut self.next_packet_id,
-                        target,
-                    );
-                    sampler.lap_context();
-                    node.on_packets(&mut batch, &mut ctx);
-                    batch.clear();
-                    self.deliver_buf = batch;
-                    consumed
-                }
-            };
-            events += consumed;
-            sampler.lap_node(self.nodes[target].label());
-        }
-        if self.now < until && until != SimTime::MAX {
-            self.now = until;
-        }
-        self.events_processed += events;
-        RunStats {
-            events,
-            ended_at_nanos: self.now.as_nanos(),
-        }
-    }
-
     /// Fold one dispatched event into the engine profile, sampling
-    /// pending depth when due. A no-op when profiling is disabled (the
-    /// profiled and guarded loops are the only callers on hot paths,
-    /// and both are already outlined).
+    /// pending depth when due. A no-op when profiling is disabled.
     fn record_profile(&mut self, is_timer: bool, consumed: u64) {
         if let Some(p) = &mut self.profile {
             if p.record_dispatch(is_timer, consumed) {
@@ -729,74 +532,17 @@ impl Sim {
     /// Process a single event. Deliveries dispatch through
     /// [`Node::on_packets`] as a one-element batch, so nodes that
     /// implement only the batched hook behave identically under
-    /// `step()` and [`Sim::run_until`]. Returns `false` when the event
-    /// store is empty.
+    /// `step()` and [`Sim::run_until`]. An enabled profile or trace
+    /// records the event. Returns `false` when the event store is empty.
     pub fn step(&mut self) -> bool {
         self.ensure_started();
-        match self.queue.pop() {
-            Some(entry) => {
-                self.now = entry.time;
-                let is_timer = matches!(entry.kind, EventKind::Timer(_));
-                let (seq, target) = (entry.seq, entry.target as u32);
-                if self.trace.is_some() {
-                    self.drain_births();
-                    self.queue.trace_set_current(seq);
-                }
-                self.dispatch_single(entry);
-                self.events_processed += 1;
-                if self.profile.is_some() {
-                    self.record_profile(is_timer, 1);
-                }
-                if let Some(t) = self.trace.as_deref_mut() {
-                    let kind = if is_timer {
-                        TraceEventKind::Timer
-                    } else {
-                        TraceEventKind::Deliver
-                    };
-                    t.dispatched(seq, self.now.as_nanos(), target, kind, 1);
-                }
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Dispatch one event without same-instant batching (deliveries
-    /// still go through `on_packets`, as a batch of one).
-    fn dispatch_single(&mut self, entry: Event) {
-        let target = entry.target;
-        debug_assert!(target < self.nodes.len(), "event for unknown node");
-        match entry.kind {
-            EventKind::Timer(tag) => {
-                let (node, mut ctx) = split_at(
-                    &mut self.nodes,
-                    &mut self.rngs,
-                    &mut self.queue,
-                    self.now,
-                    &mut self.seq,
-                    &mut self.next_packet_id,
-                    target,
-                );
-                node.on_timer(tag, &mut ctx);
-            }
-            EventKind::Deliver(pkt) => {
-                let mut batch = std::mem::take(&mut self.deliver_buf);
-                batch.clear();
-                batch.push(pkt);
-                let (node, mut ctx) = split_at(
-                    &mut self.nodes,
-                    &mut self.rngs,
-                    &mut self.queue,
-                    self.now,
-                    &mut self.seq,
-                    &mut self.next_packet_id,
-                    target,
-                );
-                node.on_packets(&mut batch, &mut ctx);
-                batch.clear();
-                self.deliver_buf = batch;
-            }
-        }
+        let Some(entry) = self.queue.pop() else {
+            return false;
+        };
+        self.now = entry.time;
+        self.dispatch::<true, false>(entry, None);
+        self.events_processed += 1;
+        true
     }
 
     fn ensure_started(&mut self) {
@@ -818,14 +564,34 @@ impl Sim {
         }
     }
 
-    /// Dispatch one popped event, batching any immediately following
-    /// deliveries for the same `(time, target)`. Returns the number of
-    /// events consumed.
-    fn dispatch(&mut self, entry: Event) -> u64 {
+    /// Dispatch one popped event and return the number of events
+    /// consumed. With `BATCH`, any immediately following deliveries for
+    /// the same `(time, target)` join the delivery as one
+    /// [`Node::on_packets`] batch. With `INSTRUMENTED`, the dispatch
+    /// also threads trace provenance (drain births, mark this event as
+    /// the current parent, retire batched events' provenance), laps the
+    /// attribution sampler, and records into an enabled profile and
+    /// trace. Kept out of line: LLVM outlines it anyway, and the plain
+    /// loop measured fastest that way.
+    #[inline(never)]
+    fn dispatch<const INSTRUMENTED: bool, const BATCH: bool>(
+        &mut self,
+        entry: Event,
+        sampler: Option<&mut AttributionSampler>,
+    ) -> u64 {
+        let mut sampler = if INSTRUMENTED { sampler } else { None };
+        if INSTRUMENTED && self.trace.is_some() {
+            self.drain_births();
+            self.queue.trace_set_current(entry.seq);
+        }
         let target = entry.target;
         debug_assert!(target < self.nodes.len(), "event for unknown node");
-        match entry.kind {
+        let is_timer = matches!(entry.kind, EventKind::Timer(_));
+        let consumed = match entry.kind {
             EventKind::Timer(tag) => {
+                if let Some(s) = sampler.as_deref_mut() {
+                    s.lap_store();
+                }
                 let (node, mut ctx) = split_at(
                     &mut self.nodes,
                     &mut self.rngs,
@@ -835,6 +601,9 @@ impl Sim {
                     &mut self.next_packet_id,
                     target,
                 );
+                if let Some(s) = sampler.as_deref_mut() {
+                    s.lap_context();
+                }
                 node.on_timer(tag, &mut ctx);
                 1
             }
@@ -846,8 +615,23 @@ impl Sim {
                 let mut batch = std::mem::take(&mut self.deliver_buf);
                 batch.clear();
                 batch.push(pkt);
-                while let Some(next) = self.queue.pop_deliver_if(entry.time, target) {
+                while let Some((tail_seq, next)) = if BATCH {
+                    self.queue.pop_deliver_if(entry.time, target)
+                } else {
+                    None
+                } {
                     batch.push(next);
+                    // The batched event never fires on its own — retire
+                    // its provenance entry here (its children attribute
+                    // to the batch head, `entry.seq`).
+                    if INSTRUMENTED {
+                        if let Some(t) = self.trace.as_deref_mut() {
+                            t.absorb(tail_seq);
+                        }
+                    }
+                }
+                if let Some(s) = sampler.as_deref_mut() {
+                    s.lap_store();
                 }
                 let consumed = batch.len() as u64;
                 let (node, mut ctx) = split_at(
@@ -859,12 +643,36 @@ impl Sim {
                     &mut self.next_packet_id,
                     target,
                 );
+                if let Some(s) = sampler.as_deref_mut() {
+                    s.lap_context();
+                }
                 node.on_packets(&mut batch, &mut ctx);
                 batch.clear();
                 self.deliver_buf = batch;
                 consumed
             }
+        };
+        if INSTRUMENTED {
+            if let Some(s) = sampler {
+                s.lap_node(self.nodes[target].label());
+            }
+            self.record_profile(is_timer, consumed);
+            if let Some(t) = self.trace.as_deref_mut() {
+                let kind = if is_timer {
+                    TraceEventKind::Timer
+                } else {
+                    TraceEventKind::Deliver
+                };
+                t.dispatched(
+                    entry.seq,
+                    self.now.as_nanos(),
+                    target as u32,
+                    kind,
+                    consumed as u32,
+                );
+            }
         }
+        consumed
     }
 }
 
@@ -1576,6 +1384,47 @@ mod tests {
             report.rows.iter().map(|r| r.samples).sum::<u64>(),
             report.samples()
         );
+    }
+
+    #[test]
+    fn attributed_run_honours_the_watchdog_and_the_trace() {
+        let mut b = SimBuilder::new(MasterSeed::new(37));
+        let (log, rec) = logger();
+        let dst = b.add_node(rec);
+        b.add_node(Box::new(Ticker {
+            dst,
+            period: 100,
+            count: 1000,
+            emitted: 0,
+        }));
+        let mut sim = b.build().unwrap();
+        sim.enable_tracing();
+        sim.set_watchdog(Some(50), None);
+        let mut sampler = crate::attr::AttributionSampler::new(1);
+        let stats = sim.run_until_attributed(SimTime::MAX, &mut sampler);
+        assert!(
+            sim.watchdog_tripped(),
+            "the attributed run trips the budget"
+        );
+        assert!(
+            stats.events >= 50 && stats.events < 2000,
+            "{}",
+            stats.events
+        );
+        assert!(log.borrow().len() < 1000, "the run stopped early");
+        let trace = sim.trace_report().expect("trace recorded");
+        assert_eq!(
+            trace
+                .records
+                .iter()
+                .map(|r| u64::from(r.batch))
+                .sum::<u64>(),
+            stats.events,
+            "trace covers every event"
+        );
+        // Sticky: a further attributed run is a no-op.
+        let again = sim.run_until_attributed(SimTime::MAX, &mut sampler);
+        assert_eq!(again.events, 0);
     }
 
     #[test]

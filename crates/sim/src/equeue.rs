@@ -596,28 +596,11 @@ impl EventQueue {
 
     /// Pop the next event only if it is a `Deliver` at exactly `time`
     /// targeting `target` — the engine's same-instant batching probe.
-    /// Never refills: batching across a window boundary is legal but not
+    /// Returns the popped event's sequence number with its packet (a
+    /// trace retires the batched event's provenance by seq). Never
+    /// refills: batching across a window boundary is legal but not
     /// worth the sweep.
-    pub fn pop_deliver_if(&mut self, time: SimTime, target: usize) -> Option<Packet> {
-        let key = *self.near.peek()?;
-        if key.time != time.as_nanos() || key.is_timer() || key.target() != target {
-            return None;
-        }
-        self.near.pop();
-        self.len -= 1;
-        Some(self.dealloc(key.payload as u32))
-    }
-
-    /// [`EventQueue::pop_deliver_if`], also returning the popped
-    /// event's sequence number. The traced dispatch path's batching
-    /// probe: the recorder needs each batched event's seq to retire its
-    /// provenance entry. Kept separate so the hot untraced probe's
-    /// signature (and codegen) is untouched.
-    pub(crate) fn pop_deliver_if_keyed(
-        &mut self,
-        time: SimTime,
-        target: usize,
-    ) -> Option<(u64, Packet)> {
+    pub fn pop_deliver_if(&mut self, time: SimTime, target: usize) -> Option<(u64, Packet)> {
         let key = *self.near.peek()?;
         if key.time != time.as_nanos() || key.is_timer() || key.target() != target {
             return None;
@@ -867,7 +850,8 @@ mod tests {
         let first = q.pop().unwrap();
         assert!(matches!(first.kind, EventKind::Deliver(p) if p.id == 0));
         // Same time + target + kind → batched.
-        assert_eq!(q.pop_deliver_if(first.time, 1).unwrap().id, 1);
+        let (seq, next) = q.pop_deliver_if(first.time, 1).unwrap();
+        assert_eq!((seq, next.id), (1, 1));
         // Next is a Deliver for a *different* target.
         assert!(q.pop_deliver_if(first.time, 1).is_none());
         assert_eq!(q.pop().unwrap().target, 2);

@@ -63,7 +63,6 @@ pub mod sink;
 pub mod source;
 pub mod tap;
 pub mod time;
-pub mod trace;
 
 pub use attr::{AttributionReport, AttributionRow, AttributionSampler};
 pub use cohort::{
@@ -82,4 +81,3 @@ pub use sink::{Sink, SinkHandle};
 pub use source::DistSource;
 pub use tap::{Tap, TapHandle};
 pub use time::{SimDuration, SimTime};
-pub use trace::{PacketTrace, TraceEntry, TraceRecorder, TraceSource};

@@ -324,7 +324,7 @@ impl ShardedAggregate {
     /// [`ShardReport`] (and manifest) then carries a
     /// [`ProfileReport`] — batch-size distribution, pending-depth
     /// series, event-store op counters. Profiles are deterministic per
-    /// shard; the run pays the engine's outlined profiled loop.
+    /// shard; the run pays the engine's instrumented loop.
     pub fn with_profiling(mut self) -> Self {
         self.profiling = true;
         self
@@ -335,7 +335,7 @@ impl ShardedAggregate {
     /// scheduler provenance, renderable as a Perfetto timeline or
     /// collapsed causal stacks. Traces are deterministic per shard
     /// (S=1 tracing reproduces the unsharded sim's trace bit-for-bit);
-    /// the run pays the engine's outlined traced loop.
+    /// the run pays the engine's instrumented loop.
     pub fn with_tracing(mut self) -> Self {
         self.tracing = true;
         self
