@@ -13,13 +13,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod compare;
+pub mod json;
 pub mod opts;
 pub mod perf;
 pub mod runner;
 pub mod table;
 
-pub use compare::{compare_reports, latest_two_baselines, Comparison};
 pub use opts::{RunOpts, Scale};
 pub use runner::{collect_piats_parallel, detection_for, Budget, CollectionError};
 pub use table::{write_csv, Table};

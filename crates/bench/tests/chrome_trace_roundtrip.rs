@@ -1,11 +1,11 @@
 //! The exported Chrome trace-event JSON must stay inside the subset of
-//! JSON the workspace's own mini parser (`linkpad_bench::compare::Json`)
-//! understands — the same discipline every `BENCH_N.json` follows.
+//! JSON the workspace's own mini parser (`linkpad_bench::json::Json`)
+//! understands — the same discipline the run manifests follow.
 //! Perfetto / `chrome://tracing` are strictly more permissive, so
 //! round-tripping through the strict parser is the cheap local proof
 //! the export is well-formed.
 
-use linkpad_bench::compare::Json;
+use linkpad_bench::json::Json;
 use linkpad_sim::engine::{Context, SimBuilder};
 use linkpad_sim::node::{Node, NodeId};
 use linkpad_sim::packet::{FlowId, Packet, PacketKind};

@@ -306,7 +306,9 @@ mod tests {
     #[test]
     fn library_source_classification() {
         assert!(is_library_source("crates/sim/src/engine.rs"));
-        assert!(is_library_source("crates/bench/src/bin/perf_baseline.rs"));
+        assert!(is_library_source(
+            "crates/bench/src/bin/fig_defense_matrix.rs"
+        ));
         assert!(is_library_source("src/lib.rs"));
         assert!(!is_library_source(
             "crates/workloads/tests/reset_determinism.rs"

@@ -1,6 +1,6 @@
 //! Minimal JSON rendering helpers shared by snapshots, events, and
 //! manifests. Writing only — the workspace's one JSON *parser* lives in
-//! `linkpad-bench::compare`, at the other end of the pipe.
+//! `linkpad_bench::json`, at the other end of the pipe.
 
 /// Escape a string for use inside a JSON string literal (without the
 /// surrounding quotes).

@@ -26,8 +26,9 @@
 //!
 //! The zero-cost contract: a simulation that never installs a profile
 //! or sink pays one predictable branch per run call and nothing per
-//! event — asserted <1 % in `perf_baseline` alongside the fault-hook
-//! gate. See DESIGN.md §Observability.
+//! event: with nothing armed, `Sim::run_until` takes the plain loop
+//! (pinned by the engine's profiled/traced-vs-plain tests). See
+//! DESIGN.md §Observability.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -11,7 +11,7 @@
 //!
 //! Schema is versioned (`linkpad-run-manifest-v1`) and rendered with
 //! the same hand-rolled JSON writer as everything else in this crate,
-//! so `bench_compare`'s parser can read it back.
+//! so `linkpad_bench::json` can read it back.
 
 use crate::json::{escape, num};
 use crate::metrics::Snapshot;

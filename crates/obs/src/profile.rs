@@ -223,8 +223,9 @@ impl EngineProfile {
     }
 }
 
-/// Finalized engine profile for one run span — what `perf_baseline`
-/// embeds in `BENCH_N.json` and sharded run manifests carry per shard.
+/// Finalized engine profile for one run span — what sharded run
+/// manifests carry per shard and the `perfbench` benchmark reads its
+/// `engine.*` and `equeue.*` metrics from.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileReport {
     /// Timer events dispatched.

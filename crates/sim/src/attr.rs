@@ -23,7 +23,8 @@
 //! is write-only from the engine's perspective and the attributed run's
 //! simulated results are bit-identical to a plain run (the sampler
 //! cannot even be consulted mid-run). It is a measurement harness for
-//! `perf_baseline`, not a simulation feature.
+//! the `perfbench` benchmark's `attr.*` metrics, not a simulation
+//! feature.
 //!
 //! [`Context`]: crate::engine::Context
 //! [`run_until_attributed`]: crate::engine::Sim::run_until_attributed

@@ -265,8 +265,8 @@ impl Sim {
     /// profiled span. Profiles are a pure function of `(spec, seed)` —
     /// bit-identical across reruns and resets. Enabling on an already
     /// profiled sim restarts the profile from now. While enabled, runs
-    /// take the instrumented loop (cost asserted <1 % disabled,
-    /// and reported while enabled, by `perf_baseline`).
+    /// take the instrumented loop; once disabled they take the plain
+    /// loop again.
     pub fn enable_profiling(&mut self) {
         let base = store_counters(self.queue.diag());
         match &mut self.profile {
@@ -301,9 +301,8 @@ impl Sim {
     /// queue logs, for each scheduled event, which event's handler
     /// scheduled it. Traces are a pure function of `(spec, seed)`, like
     /// profiles. Enabling on an already traced sim restarts the trace
-    /// from now. While enabled, runs take the instrumented loop (cost
-    /// asserted <1 % *disabled*, and reported while enabled, by
-    /// `perf_baseline`).
+    /// from now. While enabled, runs take the instrumented loop; once
+    /// disabled they take the plain loop again.
     pub fn enable_tracing(&mut self) {
         match &mut self.trace {
             Some(t) => t.reset(),
@@ -402,11 +401,12 @@ impl Sim {
     /// dispatch is split into its three phases — event-store work (pop +
     /// batch collection), [`Context`] build, and the node handler — with
     /// each sampled dispatch's phase times credited to the target node's
-    /// label. A `perf_baseline` measurement harness, not a simulation
-    /// feature: the sampler is write-only, so the simulated results are
-    /// bit-identical to a plain run. An armed watchdog, profile or trace
-    /// applies exactly as in [`Sim::run_until`]. All wall-clock reads
-    /// live in [`crate::attr`] — the engine calls only sampler methods.
+    /// label. A measurement harness (the `perfbench` benchmark's
+    /// `attr.*` metrics), not a simulation feature: the sampler is
+    /// write-only, so the simulated results are bit-identical to a
+    /// plain run. An armed watchdog, profile or trace applies exactly
+    /// as in [`Sim::run_until`]. All wall-clock reads live in
+    /// [`crate::attr`] — the engine calls only sampler methods.
     pub fn run_until_attributed(
         &mut self,
         until: SimTime,
@@ -1100,6 +1100,15 @@ mod tests {
         assert_eq!(*log.borrow(), first);
     }
 
+    /// Would [`Sim::run_until`] take the plain `run_loop::<false>`? The
+    /// same four fields its routing reads.
+    fn takes_plain_loop(sim: &Sim) -> bool {
+        sim.watchdog.is_none()
+            && !sim.watchdog_tripped
+            && sim.trace.is_none()
+            && sim.profile.is_none()
+    }
+
     #[test]
     fn profiled_run_matches_plain_run_and_profiles_replay_bit_identically() {
         let build = || {
@@ -1139,14 +1148,24 @@ mod tests {
         assert_eq!(replay, report);
 
         // ...and so does a fresh build with profiling enabled.
-        let (_, mut fresh) = build();
+        let (fresh_log, mut fresh) = build();
         fresh.enable_profiling();
         fresh.run_until(SimTime::from_nanos(1_000_000));
         assert_eq!(fresh.profile_report().expect("enabled"), report);
 
-        // Disabling drops the profile and returns to the plain loop.
+        // Disabling drops the profile and returns to the plain loop,
+        // whose run is the plain run's.
         fresh.disable_profiling();
         assert!(fresh.profile_report().is_none());
+        assert!(
+            takes_plain_loop(&fresh),
+            "disable_profiling left the sim armed"
+        );
+        fresh.reset(MasterSeed::new(21));
+        assert!(takes_plain_loop(&fresh), "reset re-armed an instrument");
+        let disabled_stats = fresh.run_until(SimTime::from_nanos(1_000_000));
+        assert_eq!(disabled_stats, plain_stats);
+        assert_eq!(*fresh_log.borrow(), *plain_log.borrow());
     }
 
     #[test]
@@ -1216,15 +1235,25 @@ mod tests {
         assert_eq!(traced.trace_report().expect("survives reset"), report);
 
         // ...and so does a fresh build with tracing enabled.
-        let (_, mut fresh) = build();
+        let (fresh_log, mut fresh) = build();
         fresh.enable_tracing();
         fresh.run_until(SimTime::from_nanos(1_000_000));
         assert_eq!(fresh.trace_report().expect("enabled"), report);
 
-        // Disabling drops the trace and returns to the plain loop.
+        // Disabling drops the trace and returns to the plain loop,
+        // whose run is the plain run's.
         fresh.disable_tracing();
         assert!(fresh.trace_report().is_none());
         assert!(!fresh.tracing_enabled());
+        assert!(
+            takes_plain_loop(&fresh),
+            "disable_tracing left the sim armed"
+        );
+        fresh.reset(MasterSeed::new(31));
+        assert!(takes_plain_loop(&fresh), "reset re-armed an instrument");
+        let disabled_stats = fresh.run_until(SimTime::from_nanos(1_000_000));
+        assert_eq!(disabled_stats, plain_stats);
+        assert_eq!(*fresh_log.borrow(), *plain_log.borrow());
     }
 
     #[test]

@@ -887,6 +887,37 @@ mod tests {
     }
 
     #[test]
+    fn fault_free_plan_builds_and_runs_exactly_like_no_plan() {
+        // An axis-free plan must cost nothing: no gate, no extra node,
+        // and a bit-identical run (events and trunk window series).
+        let base = || {
+            ScenarioBuilder::aggregate(21, 4)
+                .with_payload_rate(10.0)
+                .with_trunk_observer(0.25)
+        };
+        let run = |b: ScenarioBuilder| {
+            let mut s = b.build().unwrap();
+            s.run_for_secs(2.0);
+            let agg = s.aggregate.as_ref().unwrap();
+            let windows = agg.trunk_observer.as_ref().unwrap().window_series();
+            (
+                agg.fault_gate.is_some(),
+                s.sim.node_count(),
+                s.sim.events_processed(),
+                windows,
+            )
+        };
+        let (plain_gate, plain_nodes, plain_events, plain_windows) = run(base());
+        let (gate, nodes, events, windows) = run(base().with_faults(FaultPlan::new(3)));
+        assert!(!plain_gate);
+        assert!(!gate, "fault-free plan wires no gate");
+        assert_eq!(nodes, plain_nodes, "fault-free plan adds no node");
+        assert_eq!(events, plain_events);
+        assert!(windows.len() >= 8, "windows {}", windows.len());
+        assert_eq!(windows, plain_windows);
+    }
+
+    #[test]
     fn invalid_fault_plan_is_a_typed_build_error() {
         use linkpad_sim::fault::LossModel;
         let bad = ScenarioBuilder::aggregate(1, 2)

@@ -37,8 +37,8 @@
 //! ```
 //!
 //! See `DESIGN.md` (workspace root) for the system inventory and the
-//! per-figure experiment index, and `BENCH_1.json` for the recorded
-//! performance baseline.
+//! per-figure experiment index, and `perfbench/README.md` for the
+//! benchmark that performance claims are measured with.
 
 #![forbid(unsafe_code)]
 
