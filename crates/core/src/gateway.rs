@@ -55,7 +55,6 @@ struct GatewayStats {
     ticks: u64,
     payload_sent: u64,
     dummy_sent: u64,
-    payload_dropped: u64,
     max_queue_len: usize,
     queue_wait: RunningMoments,
     tick_delay: RunningMoments,
@@ -81,10 +80,6 @@ impl GatewayHandle {
     /// Dummy packets transmitted.
     pub fn dummy_sent(&self) -> u64 {
         self.stats.borrow().dummy_sent
-    }
-    /// Payload packets dropped at a full gateway queue.
-    pub fn payload_dropped(&self) -> u64 {
-        self.stats.borrow().payload_dropped
     }
     /// Largest queue backlog observed.
     pub fn max_queue_len(&self) -> usize {
@@ -126,9 +121,6 @@ pub struct SenderGateway {
     /// sits at `start_phase + Σ Tⱼ`. Desynchronized gateway deployments
     /// (ROADMAP: staggered padding clocks) differ only in this phase.
     start_phase: SimDuration,
-    /// Optional bound on the payload queue (failure injection / memory
-    /// safety in long runs). `None` = unbounded.
-    queue_capacity: Option<usize>,
     queue: VecDeque<Packet>,
     arrivals_since_tick: u32,
     stats: Rc<RefCell<GatewayStats>>,
@@ -160,7 +152,6 @@ impl SenderGateway {
                 packet_size,
                 size_law: None,
                 start_phase: SimDuration::ZERO,
-                queue_capacity: None,
                 queue: VecDeque::new(),
                 arrivals_since_tick: 0,
                 stats,
@@ -190,12 +181,6 @@ impl SenderGateway {
     /// synchronized behavior).
     pub fn with_start_phase(mut self, phase: SimDuration) -> Self {
         self.start_phase = phase;
-        self
-    }
-
-    /// Bound the payload queue; arrivals beyond it are dropped (counted).
-    pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
-        self.queue_capacity = Some(capacity);
         self
     }
 
@@ -287,13 +272,9 @@ impl Node for SenderGateway {
         // traffic (no-op for laws and non-reactive machines).
         self.schedule.notify_client_arrival();
         packet.enqueued = ctx.now();
+        self.queue.push_back(packet);
         let mut st = self.stats.borrow_mut();
-        if self.queue_capacity.is_none_or(|cap| self.queue.len() < cap) {
-            self.queue.push_back(packet);
-            st.max_queue_len = st.max_queue_len.max(self.queue.len());
-        } else {
-            st.payload_dropped += 1;
-        }
+        st.max_queue_len = st.max_queue_len.max(self.queue.len());
     }
 
     fn on_start(&mut self, ctx: &mut Context<'_>) {
@@ -625,9 +606,9 @@ mod tests {
     }
 
     #[test]
-    fn bounded_queue_drops_overload() {
+    fn overload_backs_up_the_queue_and_every_tick_emits_once() {
         // Payload faster than the padding clock (200 pps vs 100 pps):
-        // a bounded queue must shed load and count it.
+        // the unbounded queue absorbs the excess.
         let mut b = SimBuilder::new(MasterSeed::new(11));
         let (_rx_handle, rx) = ReceiverGateway::new(None);
         let rx_id = b.add_node(Box::new(rx));
@@ -637,7 +618,7 @@ mod tests {
             GatewayJitterModel::calibrated(),
             500,
         );
-        let gw_id = b.add_node(Box::new(gw.with_queue_capacity(16)));
+        let gw_id = b.add_node(Box::new(gw));
         b.add_node(Box::new(DistSource::new(
             gw_id,
             FlowId::PADDED,
@@ -647,8 +628,7 @@ mod tests {
         )));
         let mut sim = b.build().unwrap();
         sim.run_until(SimTime::from_secs_f64(10.0));
-        assert!(gw_handle.payload_dropped() > 0);
-        assert!(gw_handle.max_queue_len() <= 16);
+        assert!(gw_handle.max_queue_len() > 16);
         // Every tick still emits exactly one packet.
         assert_eq!(
             gw_handle.payload_sent() + gw_handle.dummy_sent(),

@@ -30,8 +30,6 @@ pub struct OverheadReport {
     /// Mean end-to-end payload delay (GW1 enqueue → GW2 delivery), if a
     /// receiver handle was provided.
     pub mean_end_to_end_delay: Option<f64>,
-    /// Payload packets dropped at a bounded gateway queue.
-    pub payload_dropped: u64,
 }
 
 impl OverheadReport {
@@ -63,7 +61,6 @@ impl OverheadReport {
             mean_queue_delay: wait.mean().unwrap_or(0.0),
             max_queue_delay: if wait.count() > 0 { wait.max() } else { 0.0 },
             mean_end_to_end_delay: rx.and_then(|r| r.end_to_end_delay_moments().mean()),
-            payload_dropped: gw.payload_dropped(),
         }
     }
 
@@ -129,7 +126,6 @@ mod tests {
         );
         assert!((r.bandwidth_expansion - 10.0).abs() < 1.0);
         assert_eq!(r.packets_sent, r.payload_packets + r.dummy_packets);
-        assert_eq!(r.payload_dropped, 0);
     }
 
     #[test]

@@ -142,7 +142,7 @@ impl EngineProfile {
     /// Fold one dispatched event (or same-instant batch) in. `consumed`
     /// is the number of events the dispatch retired — 1 for timers, the
     /// batch length for deliveries. Returns `true` when a pending-depth
-    /// sample is due (every [`SAMPLE_EVERY`]-th dispatch).
+    /// sample is due (every 1024th dispatch).
     #[must_use]
     pub fn record_dispatch(&mut self, is_timer: bool, consumed: u64) -> bool {
         if is_timer {

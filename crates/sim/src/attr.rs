@@ -58,7 +58,7 @@ fn type_key(label: &str) -> &str {
 
 /// Samples every N-th dispatch and attributes its wall time to
 /// store / context / dispatch phases, keyed by the target node's type
-/// (its label minus any numeric instance suffix — see [`type_key`]).
+/// (its label minus any numeric instance suffix).
 ///
 /// Sampling keeps the measurement from perturbing what it measures:
 /// un-sampled events pay one counter increment and one branch per lap

@@ -1,4 +1,4 @@
-//! Flow cohorts: K CIT-padded flows superposed in one node.
+//! Flow cohorts: K padded flows superposed in one node.
 //!
 //! The aggregate scenario family models every padded flow as its own
 //! sender/receiver gateway pair — faithful, but ~10 boxed nodes and one
@@ -46,10 +46,15 @@
 //! cohort** — the heap minimum — so a stochastic cohort costs the event
 //! store the same as a deterministic one and `ShardedAggregate` scales
 //! every defence to 10⁶ flows. Determinism: the heap pops in the total
-//! order `(time, member)`, and all draws (jitter δ, packet size, next
-//! interval — in that documented per-emission order) come off the
-//! cohort node's single RNG stream, so runs replay bit-identically
-//! under `reset(seed)`. What the heap does *not* preserve is the
+//! order `(time, member)`, and all draws come off the cohort node's
+//! single RNG stream, so runs replay bit-identically under
+//! `reset(seed)`.
+//!
+//! Both paths draw per emission in one order — jitter δ, then wire size,
+//! then (heap only) the member's next interval — the same order as the
+//! sender gateway's tick. A `Deterministic(τ)` member schedule therefore
+//! drives the heap bit-exactly along the comb, jitter and size law
+//! included. What the heap does *not* preserve is the
 //! gateway fan-in's *stream interleaving*: K real gateways draw from K
 //! independent RNG streams, the cohort from one, so stochastic-regime
 //! equivalence is distributional (window count/byte moments), not
@@ -447,17 +452,15 @@ impl Node for FlowCohort {
         let (_, count) = self.schedule[self.idx];
         self.stats.borrow_mut().emitted += count as u64;
         for _ in 0..count {
-            // Per-emission draw order: wire size (variable-payload
-            // defences), then the member's jitter δ.
+            // Per-emission draw order, as in the heap path and the
+            // gateway: the member's jitter δ (one independent δ per
+            // member flow, as each gateway's tick draws its own), then
+            // wire size (variable-payload defences).
+            let delay = self.jitter.as_ref().map(|j| j.sample_send_delay(ctx.rng));
             let size = self.sample_size(ctx.rng);
             let pkt = ctx.spawn_packet(self.flow, PacketKind::Dummy, size);
-            match &self.jitter {
-                // One independent δ per member flow, as each gateway's
-                // tick would draw its own.
-                Some(j) => {
-                    let delay = j.sample_send_delay(ctx.rng);
-                    ctx.send_after(SimDuration::from_secs_f64(delay), self.next, pkt);
-                }
+            match delay {
+                Some(d) => ctx.send_after(SimDuration::from_secs_f64(d), self.next, pkt),
                 None => ctx.send_now(self.next, pkt),
             }
         }
@@ -629,9 +632,15 @@ mod tests {
     #[test]
     fn deterministic_law_heap_matches_the_comb_bit_exactly() {
         // A Deterministic(τ) member schedule drives the heap along the
-        // same nominal grid the comb walks, with zero RNG draws — the
-        // two modes must agree to the nanosecond.
-        let run = |member: bool| {
+        // same nominal grid the comb walks, with zero interval draws —
+        // the two modes must agree to the nanosecond, also when both
+        // draw jitter δ and a wire size per emission (same draw order).
+        let jitter = CohortJitter {
+            base_sigma: 20e-6,
+            blocking_mean: 50e-6,
+            arrival_prob: 0.4,
+        };
+        let run = |member: bool, jitter: Option<CohortJitter>, size_law: bool| {
             let mut b = SimBuilder::new(MasterSeed::new(11));
             let (tap, node) = Tap::new(None, None);
             let tap_id = b.add_node(Box::new(node));
@@ -641,15 +650,24 @@ mod tests {
                 let law = Box::new(linkpad_stats::dist::Deterministic::new(0.010).unwrap());
                 cohort = cohort.with_member_schedule(Box::new(LawSchedule::new(law)));
             }
+            if let Some(j) = jitter {
+                cohort = cohort.with_jitter(j);
+            }
+            if size_law {
+                let law = Box::new(linkpad_stats::dist::Uniform::new(300.0, 901.0).unwrap());
+                cohort = cohort.with_packet_size_law(law);
+            }
             b.add_node(Box::new(cohort));
             let mut sim = b.build().unwrap();
             sim.run_until(SimTime::from_secs_f64(0.2005));
             tap.timestamps()
         };
-        let comb = run(false);
-        let heap = run(true);
-        assert!(!comb.is_empty());
-        assert_eq!(comb, heap);
+        for (jitter, size_law) in [(None, false), (Some(jitter), false), (Some(jitter), true)] {
+            let comb = run(false, jitter, size_law);
+            let heap = run(true, jitter, size_law);
+            assert!(!comb.is_empty());
+            assert_eq!(comb, heap, "jitter {jitter:?}, size law {size_law}");
+        }
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //! slot inline):
 //!
 //! * **near** — the currently active time window, a *small* binary heap
-//!   sized around [`TARGET_BATCH`] events. It lives in L1 cache, so its
+//!   sized around `TARGET_BATCH` (512) events. It lives in L1 cache, so its
 //!   `O(log B)` operations touch a dozen hot bytes per level.
-//! * **rungs** — one or more nested *levels* of [`N_BUCKETS`] consecutive
+//! * **rungs** — one or more nested *levels* of `N_BUCKETS` (64) consecutive
 //!   buckets after the near window (the calendar/timing-wheel tier).
 //!   Insertion is an index computation plus a `Vec::push` — no
 //!   comparisons.
@@ -28,7 +28,7 @@
 //! the ladder at the minimum pending time and scatters the next
 //! `N_BUCKETS × width` of events into a fresh outer level; `width` is
 //! re-estimated from the observed event density so a bucket holds
-//! roughly [`TARGET_BATCH`] events. A far event is therefore rescanned
+//! roughly `TARGET_BATCH` events. A far event is therefore rescanned
 //! about once per `N_BUCKETS` batches, so per-event ordering cost stays
 //! flat as the pending set grows — instead of the global `O(log n)` the
 //! old heap paid on every single push and pop.
@@ -37,7 +37,7 @@
 //! and a handful of early timers spread over a long interval yield a
 //! width far wider than the dense traffic that follows: the first bucket
 //! then swallows the whole pending set and the near heap grows to it.
-//! So the near window bounds itself. When it overflows [`SPLIT_AT`] keys
+//! So the near window bounds itself. When it overflows `SPLIT_AT` (4096) keys
 //! (on a push, or when an overfull bucket is loaded), its keys are
 //! re-bucketed into a finer level spawned over `[near min, horizon]`
 //! with a width sized from their spread, and the window shrinks to that
@@ -46,7 +46,7 @@
 //! Thng, ACM TOMACS 2005). The width comes from the lower half of the
 //! keys, so a few far-out timers do not widen every bucket, and a
 //! spawned level absorbs any drained inner levels, so the nesting stays
-//! shallow. When more than [`SPLIT_AT`] keys share the earliest or the
+//! shallow. When more than `SPLIT_AT` keys share the earliest or the
 //! median instant, no width can bring the new window under the bound;
 //! that pass spawns nothing and disarms splitting until the next
 //! window is loaded, so a same-instant cluster (synchronized ticks)
@@ -444,7 +444,7 @@ impl EventQueue {
         )
     }
 
-    /// Per-bucket occupancy of the calendar tier: [`N_BUCKETS`] entries
+    /// Per-bucket occupancy of the calendar tier: `N_BUCKETS` (64) entries
     /// per active level, outermost level first, lowest bucket first —
     /// the per-rung view behind engine-profile depth samples (the
     /// summed total is in [`EventQueue::tier_state`]).

@@ -112,16 +112,15 @@ impl LossModel {
     }
 }
 
-/// A periodic up/down schedule: starting at `phase`, the subject is
+/// A periodic up/down schedule: starting at time zero, the subject is
 /// *down* for the first `down` of every `period`, up for the rest.
-/// Times before `phase` are up. Used both for link outages (the gate
+/// Used both for link outages (the gate
 /// drops every packet while down) and observer measurement gaps (the
 /// observer records nothing while down).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OutageSchedule {
     period: SimDuration,
     down: SimDuration,
-    phase: SimDuration,
 }
 
 impl OutageSchedule {
@@ -134,18 +133,7 @@ impl OutageSchedule {
     pub fn new(period: SimDuration, down: SimDuration) -> Self {
         assert!(period > SimDuration::ZERO, "outage period must be positive");
         assert!(down <= period, "outage down-time cannot exceed the period");
-        Self {
-            period,
-            down,
-            phase: SimDuration::ZERO,
-        }
-    }
-
-    /// Delay the first down interval: the schedule is up until `phase`,
-    /// then cycles (down for `down`, up for the rest of each period).
-    pub fn with_phase(mut self, phase: SimDuration) -> Self {
-        self.phase = phase;
-        self
+        Self { period, down }
     }
 
     /// The cycle period.
@@ -167,20 +155,14 @@ impl OutageSchedule {
     /// `[cycle_start, cycle_start + down)`, matching the half-open
     /// observation windows.
     pub fn is_down(&self, t: SimTime) -> bool {
-        let t = t.as_nanos();
-        let phase = self.phase.as_nanos();
-        if t < phase {
-            return false;
-        }
-        (t - phase) % self.period.as_nanos() < self.down.as_nanos()
+        t.as_nanos() % self.period.as_nanos() < self.down.as_nanos()
     }
 
     /// Cumulative down-time (nanoseconds) in `[0, t)`, closed form.
     fn downtime_before(&self, t: u64) -> u64 {
-        let u = t.saturating_sub(self.phase.as_nanos());
         let period = self.period.as_nanos();
         let down = self.down.as_nanos();
-        (u / period) * down + (u % period).min(down)
+        (t / period) * down + (t % period).min(down)
     }
 
     /// Fraction of the half-open interval `[a, b)` the subject is *up*
@@ -488,17 +470,17 @@ mod tests {
 
     #[test]
     fn outage_schedule_membership_and_coverage() {
-        // Down 0.25 s of every 1 s, starting at t = 0.5 s.
-        let o = OutageSchedule::new(dur(1.0), dur(0.25)).with_phase(dur(0.5));
-        assert!(!o.is_down(SimTime::from_secs_f64(0.1)), "before phase: up");
-        assert!(o.is_down(SimTime::from_secs_f64(0.5)));
-        assert!(o.is_down(SimTime::from_secs_f64(0.74)));
-        assert!(!o.is_down(SimTime::from_secs_f64(0.75)), "half-open");
-        assert!(o.is_down(SimTime::from_secs_f64(1.6)));
+        // Down 0.25 s of every 1 s, starting at t = 0.
+        let o = OutageSchedule::new(dur(1.0), dur(0.25));
+        assert!(o.is_down(SimTime::ZERO));
+        assert!(o.is_down(SimTime::from_secs_f64(0.24)));
+        assert!(!o.is_down(SimTime::from_secs_f64(0.25)), "half-open");
+        assert!(!o.is_down(SimTime::from_secs_f64(0.6)));
+        assert!(o.is_down(SimTime::from_secs_f64(1.1)));
         assert!((o.down_fraction() - 0.25).abs() < 1e-12);
 
         // Closed-form coverage vs brute-force sampling of is_down.
-        for (a, b) in [(0.0, 4.0), (0.3, 0.9), (0.55, 0.65), (1.9, 3.1)] {
+        for (a, b) in [(0.0, 4.0), (0.2, 0.9), (0.05, 0.15), (1.9, 3.1)] {
             let samples = 100_000;
             let mut down = 0u32;
             for i in 0..samples {
@@ -521,7 +503,7 @@ mod tests {
         );
         // Fully-down interval.
         assert_eq!(
-            o.coverage(SimTime::from_secs_f64(1.5), SimTime::from_secs_f64(1.75)),
+            o.coverage(SimTime::from_secs_f64(1.0), SimTime::from_secs_f64(1.25)),
             0.0
         );
     }

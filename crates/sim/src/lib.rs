@@ -12,10 +12,9 @@
 //!   [`packet::Packet`]s; the engine ([`engine::Sim`]) dispatches packet
 //!   deliveries and timer fires in global timestamp order with FIFO
 //!   tie-breaking.
-//! * **Links** ([`link::Link`]) model serialization (finite bandwidth) and
-//!   propagation delay.
 //! * **Routers** ([`router::Router`]) are FIFO output-queued store-and-
-//!   forwards; queueing behind cross traffic is exactly the paper's
+//!   forwards with serialization (finite bandwidth) and propagation
+//!   delay; queueing behind cross traffic is exactly the paper's
 //!   `δ_net` disturbance (eq. 10) and drives the Fig. 6 / Fig. 8 results.
 //! * **Taps** ([`tap::Tap`]) are passive timestamp recorders — the
 //!   "Agilent J6841A network analyzer" the paper's adversary uses.
@@ -28,13 +27,14 @@
 //!   drops packets deterministically — i.i.d. or bursty loss laws plus
 //!   scheduled outages — so countermeasure/adversary trade-offs can be
 //!   measured under imperfect links and partial observation.
-//! * **Flow cohorts** ([`cohort::FlowCohort`]) superpose K CIT-padded
-//!   flows' combined arrival process in one node — a per-cohort phase
-//!   vector and a single pending timer instead of K gateways — which is
+//! * **Flow cohorts** ([`cohort::FlowCohort`]) superpose K padded flows'
+//!   combined arrival process in one node — an exact phase comb for
+//!   deterministic schedules, a per-member next-fire heap for stochastic
+//!   ones, and a single pending timer instead of K gateways — which is
 //!   what takes aggregate scenarios from ~10⁴ to 10⁶ concurrent flows.
 //! * **Sources** ([`source::DistSource`]) emit traffic with pluggable
 //!   inter-arrival and packet-size laws from `linkpad-stats`.
-//! * **Parallel sweeps** ([`parallel::parallel_map`]) fan independent
+//! * **Parallel sweeps** ([`parallel::parallel_map_init`]) fan independent
 //!   simulations out over scoped threads; every simulation owns a
 //!   deterministic RNG substream, so results are bit-identical regardless
 //!   of thread count.
@@ -53,7 +53,6 @@ pub mod cohort;
 pub mod engine;
 pub mod equeue;
 pub mod fault;
-pub mod link;
 pub mod node;
 pub mod observer;
 pub mod packet;
@@ -71,11 +70,10 @@ pub use cohort::{
 pub use engine::{Context, RunStats, Sim, SimBuilder};
 pub use equeue::EventQueue;
 pub use fault::{FaultGateHandle, FaultPlan, LossModel, LossyGate, OutageSchedule};
-pub use link::Link;
 pub use node::{Node, NodeId};
 pub use observer::{ObserverHandle, WindowStats, WindowedObserver};
 pub use packet::{FlowId, Packet, PacketKind};
-pub use parallel::{parallel_map, parallel_map_init_catching, ItemPanic};
+pub use parallel::{parallel_map_init, parallel_map_init_catching, ItemPanic};
 pub use router::Router;
 pub use sink::{Sink, SinkHandle};
 pub use source::DistSource;

@@ -29,28 +29,20 @@ use std::sync::Mutex;
 /// toward an item-granular tail.
 const OVERSUBSCRIBE: usize = 4;
 
-/// Map `f` over `items` in parallel, preserving order.
-///
-/// Worker count defaults to `available_parallelism`, capped by the number
-/// of items. Panics in `f` are propagated to the caller.
-pub fn parallel_map<T, U, F>(items: Vec<T>, f: F) -> Vec<U>
-where
-    T: Send,
-    U: Send,
-    F: Fn(T) -> U + Sync,
-{
-    parallel_map_with_threads(items, default_threads(), f)
-}
-
-/// [`parallel_map`] with per-worker state: each worker calls `init()`
-/// once (lazily, before its first item) and threads the resulting state
-/// through every item it processes, in input order within each chunk.
+/// Map `f` over `items` in parallel, preserving order, with per-worker
+/// state: each worker calls `init()` once (lazily, before its first
+/// item) and threads the resulting state through every item it
+/// processes, in input order within each chunk.
 ///
 /// This is the scenario-reset hook: a sweep worker builds one simulation
 /// topology in its state slot and *reseeds* it per item instead of
 /// rebuilding it, while results still come back in input order. The
 /// state is worker-local, so `S` needs no `Sync` and no locking; it is
 /// dropped with the worker thread.
+///
+/// Worker count is [`default_threads`], capped by the number of items.
+/// A panic in `f` is re-raised on the caller's thread once every item
+/// has finished, as the first failing item's [`ItemPanic`] message.
 pub fn parallel_map_init<T, U, S, I, F>(items: Vec<T>, init: I, f: F) -> Vec<U>
 where
     T: Send,
@@ -58,91 +50,10 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, T) -> U + Sync,
 {
-    parallel_map_init_with_threads(items, default_threads(), init, f)
-}
-
-/// [`parallel_map_init`] with an explicit worker count (≥ 1).
-pub fn parallel_map_init_with_threads<T, U, S, I, F>(
-    items: Vec<T>,
-    threads: usize,
-    init: I,
-    f: F,
-) -> Vec<U>
-where
-    T: Send,
-    U: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, T) -> U + Sync,
-{
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = threads.max(1).min(n);
-    if threads == 1 {
-        let mut state = init();
-        return items.into_iter().map(|item| f(&mut state, item)).collect();
-    }
-
-    // One cell per item. Each work cell is taken exactly once and each
-    // result cell written exactly once, both guarded by the claim index,
-    // so every lock is uncontended; items here are whole simulations
-    // (µs–minutes each), which dwarfs a cold lock acquisition.
-    let work: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let results: Vec<Mutex<Option<U>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let work = &work;
-            let results = &results;
-            let next = &next;
-            let init = &init;
-            let f = &f;
-            scope.spawn(move || {
-                // Lazy: a worker that never claims work never pays for
-                // state construction.
-                let mut state: Option<S> = None;
-                loop {
-                    // Guided claim: a fraction of the remaining work,
-                    // computed from a (possibly stale) snapshot — the
-                    // fetch_add is the only authority on ownership, and
-                    // the range is clamped to the input, so staleness
-                    // only perturbs the chunk size.
-                    let claimed = next.load(Ordering::Relaxed);
-                    if claimed >= n {
-                        break;
-                    }
-                    let chunk = ((n - claimed) / (threads * OVERSUBSCRIBE)).max(1);
-                    let start = next.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= n {
-                        break;
-                    }
-                    let end = (start + chunk).min(n);
-                    let state = state.get_or_insert_with(init);
-                    for i in start..end {
-                        let item = work[i]
-                            .lock()
-                            .expect("work mutex never poisoned before take")
-                            .take()
-                            .expect("item claimed exactly once");
-                        let out = f(state, item);
-                        *results[i].lock().expect("result mutex poisoned") = Some(out);
-                    }
-                }
-            });
-        }
-    });
-
-    let mut out = Vec::with_capacity(n);
-    for cell in results {
-        out.push(
-            cell.into_inner()
-                .expect("result mutex poisoned")
-                .expect("every item produced a result"),
-        );
-    }
-    out
+    parallel_map_init_catching(items, default_threads(), init, f)
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// One item's worker panicked: the structured per-item error
@@ -165,8 +76,8 @@ impl fmt::Display for ItemPanic {
 
 impl std::error::Error for ItemPanic {}
 
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// Best-effort extraction of a caught panic payload's message.
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -176,7 +87,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Fault-tolerant [`parallel_map_init`]: a panic in `f` is caught
+/// Fault-tolerant [`parallel_map_init`] with an explicit worker count
+/// (≥ 1): a panic in `f` is caught
 /// ([`catch_unwind`]) and surfaced as that item's [`ItemPanic`] —
 /// carrying the input-order index and panic message — while every
 /// sibling item still runs to completion and returns `Ok`.
@@ -229,9 +141,12 @@ where
             .collect();
     }
 
-    // Same cell/claim structure as `parallel_map_init_with_threads`;
-    // locks are never held across `f`, so a caught panic cannot poison
-    // a work or result mutex.
+    // One cell per item. Each work cell is taken exactly once and each
+    // result cell written exactly once, both guarded by the claim index,
+    // so every lock is uncontended; items here are whole simulations
+    // (µs–minutes each), which dwarfs a cold lock acquisition. Locks are
+    // never held across `f`, so a caught panic cannot poison a work or
+    // result mutex.
     let work: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let results: Vec<Mutex<Option<Result<U, ItemPanic>>>> =
         (0..n).map(|_| Mutex::new(None)).collect();
@@ -245,8 +160,15 @@ where
             let init = &init;
             let f = &f;
             scope.spawn(move || {
+                // Lazy: a worker that never claims work never pays for
+                // state construction.
                 let mut state: Option<S> = None;
                 loop {
+                    // Guided claim: a fraction of the remaining work,
+                    // computed from a (possibly stale) snapshot — the
+                    // fetch_add is the only authority on ownership, and
+                    // the range is clamped to the input, so staleness
+                    // only perturbs the chunk size.
                     let claimed = next.load(Ordering::Relaxed);
                     if claimed >= n {
                         break;
@@ -294,16 +216,6 @@ where
     out
 }
 
-/// [`parallel_map`] with an explicit worker count (≥ 1).
-pub fn parallel_map_with_threads<T, U, F>(items: Vec<T>, threads: usize, f: F) -> Vec<U>
-where
-    T: Send,
-    U: Send,
-    F: Fn(T) -> U + Sync,
-{
-    parallel_map_init_with_threads(items, threads, || (), |(), item| f(item))
-}
-
 /// Default worker count: `available_parallelism`, or 4 if unknown.
 pub fn default_threads() -> usize {
     std::thread::available_parallelism()
@@ -315,16 +227,30 @@ pub fn default_threads() -> usize {
 mod tests {
     use super::*;
 
+    /// Stateless map over `threads` workers; every item must succeed.
+    fn map_with_threads<T, U, F>(items: Vec<T>, threads: usize, f: F) -> Vec<U>
+    where
+        T: Send,
+        U: Send,
+        F: Fn(T) -> U + Sync,
+    {
+        parallel_map_init_catching(items, threads, || (), |(), item| f(item))
+            .into_iter()
+            .map(|r| r.expect("no item panics"))
+            .collect()
+    }
+
     #[test]
     fn empty_input_gives_empty_output() {
-        let out: Vec<u32> = parallel_map(Vec::<u32>::new(), |x| x);
+        let out: Vec<u32> = parallel_map_init(Vec::<u32>::new(), || (), |(), x| x);
         assert!(out.is_empty());
+        assert!(map_with_threads(Vec::<u32>::new(), 4, |x| x).is_empty());
     }
 
     #[test]
     fn order_is_preserved() {
         let items: Vec<u64> = (0..500).collect();
-        let out = parallel_map(items.clone(), |x| x * 2);
+        let out = parallel_map_init(items.clone(), || (), |(), x| x * 2);
         let want: Vec<u64> = items.iter().map(|x| x * 2).collect();
         assert_eq!(out, want);
     }
@@ -333,7 +259,7 @@ mod tests {
     fn order_preserved_with_uneven_task_cost() {
         // Early tasks sleep longest; results must still come back sorted.
         let items: Vec<u64> = (0..32).collect();
-        let out = parallel_map_with_threads(items, 8, |x| {
+        let out = map_with_threads(items, 8, |x| {
             if x < 4 {
                 std::thread::sleep(std::time::Duration::from_millis(20 - 4 * x));
             }
@@ -344,13 +270,13 @@ mod tests {
 
     #[test]
     fn single_thread_path_works() {
-        let out = parallel_map_with_threads(vec![1, 2, 3], 1, |x| x + 1);
+        let out = map_with_threads(vec![1, 2, 3], 1, |x| x + 1);
         assert_eq!(out, vec![2, 3, 4]);
     }
 
     #[test]
     fn more_threads_than_items_is_fine() {
-        let out = parallel_map_with_threads(vec![5, 6], 64, |x| x * x);
+        let out = map_with_threads(vec![5, 6], 64, |x| x * x);
         assert_eq!(out, vec![25, 36]);
     }
 
@@ -359,7 +285,7 @@ mod tests {
         // Sizes around the chunking arithmetic's edges.
         for n in [1usize, 2, 3, 7, 8, 9, 31, 32, 33, 100, 101] {
             let items: Vec<usize> = (0..n).collect();
-            let out = parallel_map_with_threads(items, 8, |x| x + 1);
+            let out = map_with_threads(items, 8, |x| x + 1);
             assert_eq!(out, (1..=n).collect::<Vec<usize>>(), "n = {n}");
         }
     }
@@ -373,7 +299,7 @@ mod tests {
             z ^ (z >> 31)
         }
         let items: Vec<u64> = (0..10_000).collect();
-        let par = parallel_map(items.clone(), mix);
+        let par = parallel_map_init(items.clone(), || (), |(), x| mix(x));
         let seq: Vec<u64> = items.into_iter().map(mix).collect();
         assert_eq!(par, seq);
     }
@@ -390,7 +316,7 @@ mod tests {
         static BUILDS: AtomicUsize = AtomicUsize::new(0);
         BUILDS.store(0, Ordering::SeqCst);
         let items: Vec<u64> = (0..256).collect();
-        let out = parallel_map_init_with_threads(
+        let out = parallel_map_init_catching(
             items.clone(),
             4,
             || {
@@ -402,7 +328,7 @@ mod tests {
                 x * 3
             },
         );
-        assert_eq!(out, items.iter().map(|x| x * 3).collect::<Vec<u64>>());
+        assert_eq!(out, items.iter().map(|x| Ok(x * 3)).collect::<Vec<_>>());
         let builds = BUILDS.load(Ordering::SeqCst);
         assert!(
             (1..=4).contains(&builds),
@@ -412,8 +338,8 @@ mod tests {
 
     #[test]
     fn init_single_thread_path_matches() {
-        let out = parallel_map_init_with_threads(vec![1u32, 2, 3], 1, || 10u32, |s, x| *s + x);
-        assert_eq!(out, vec![11, 12, 13]);
+        let out = parallel_map_init_catching(vec![1u32, 2, 3], 1, || 10u32, |s, x| *s + x);
+        assert_eq!(out, vec![Ok(11), Ok(12), Ok(13)]);
     }
 
     #[test]
@@ -434,13 +360,28 @@ mod tests {
         for n in [1usize, 2, 5, 63, 64, 65, 997] {
             CALLS.store(0, Ordering::SeqCst);
             let items: Vec<usize> = (0..n).collect();
-            let out = parallel_map_with_threads(items, 8, |x| {
+            let out = map_with_threads(items, 8, |x| {
                 CALLS.fetch_add(1, Ordering::SeqCst);
                 x * 7
             });
             assert_eq!(out, (0..n).map(|x| x * 7).collect::<Vec<usize>>(), "n={n}");
             assert_eq!(CALLS.load(Ordering::SeqCst), n, "n={n}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "item 13 panicked: injected fault")]
+    fn plain_map_re_raises_an_item_panic() {
+        let _ = parallel_map_init(
+            (0..64u64).collect(),
+            || (),
+            |(), x| {
+                if x == 13 {
+                    panic!("injected fault on item 13");
+                }
+                x
+            },
+        );
     }
 
     #[test]
@@ -506,11 +447,8 @@ mod tests {
     fn catching_map_matches_plain_map_when_nothing_panics() {
         let items: Vec<u64> = (0..300).collect();
         let caught = parallel_map_init_catching(items.clone(), 6, || (), |(), x| x * 7);
-        let plain = parallel_map_with_threads(items, 6, |x| x * 7);
-        assert_eq!(
-            caught.into_iter().collect::<Result<Vec<_>, _>>().unwrap(),
-            plain
-        );
+        let sequential: Vec<Result<u64, ItemPanic>> = items.iter().map(|x| Ok(x * 7)).collect();
+        assert_eq!(caught, sequential);
     }
 
     #[test]
@@ -529,7 +467,7 @@ mod tests {
         // remaining items while it sleeps, so total wall-clock stays far
         // below slow + (n-1)·fast serialized behind one static chunk.
         let t0 = std::time::Instant::now();
-        let out = parallel_map_with_threads((0..64u64).collect(), 4, |x| {
+        let out = map_with_threads((0..64u64).collect(), 4, |x| {
             if x == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(120));
             }

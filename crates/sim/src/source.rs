@@ -3,7 +3,7 @@
 //! [`DistSource`] emits packets whose inter-arrival times and sizes come
 //! from pluggable `linkpad-stats` distributions. This covers CBR payload
 //! (deterministic intervals), Poisson cross traffic (exponential
-//! intervals, categorical sizes), and bursty variants (Pareto intervals).
+//! intervals, categorical sizes) and Poisson payload.
 //! Richer behaviours (rate switching, diurnal modulation) live in
 //! `linkpad-workloads` as their own nodes.
 
@@ -20,11 +20,6 @@ pub struct DistSource {
     kind: PacketKind,
     interval: Box<dyn ContinuousDist>,
     size: Box<dyn ContinuousDist>,
-    /// Delay before the first emission.
-    initial_delay: SimDuration,
-    /// Stop after this many packets (`None` = unbounded).
-    limit: Option<u64>,
-    emitted: u64,
     label: String,
 }
 
@@ -44,23 +39,8 @@ impl DistSource {
             kind,
             interval,
             size,
-            initial_delay: SimDuration::ZERO,
-            limit: None,
-            emitted: 0,
             label: "source".to_string(),
         }
-    }
-
-    /// Delay the first emission.
-    pub fn with_initial_delay(mut self, delay: SimDuration) -> Self {
-        self.initial_delay = delay;
-        self
-    }
-
-    /// Stop after `n` packets.
-    pub fn with_limit(mut self, n: u64) -> Self {
-        self.limit = Some(n);
-        self
     }
 
     /// Builder-style label.
@@ -81,27 +61,18 @@ impl Node for DistSource {
     }
 
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        if self.limit == Some(0) {
-            return;
-        }
-        let first =
-            self.initial_delay + SimDuration::from_secs_f64(self.interval.sample(ctx.rng).max(0.0));
-        ctx.schedule_timer(first, 0);
+        self.arm_next(ctx);
     }
 
     fn on_timer(&mut self, _tag: u64, ctx: &mut Context<'_>) {
         let size = self.size.sample(ctx.rng).round().max(1.0) as u32;
         let pkt = ctx.spawn_packet(self.flow, self.kind, size);
         ctx.send_now(self.dst, pkt);
-        self.emitted += 1;
-        if self.limit.is_none_or(|n| self.emitted < n) {
-            self.arm_next(ctx);
-        }
+        self.arm_next(ctx);
     }
 
-    fn reset(&mut self) {
-        self.emitted = 0;
-    }
+    /// A source keeps no per-run state: its timers live in the engine.
+    fn reset(&mut self) {}
 
     fn label(&self) -> &str {
         &self.label
@@ -157,84 +128,20 @@ mod tests {
     }
 
     #[test]
-    fn limit_stops_emission() {
-        let mut b = SimBuilder::new(MasterSeed::new(3));
-        let (handle, sink) = Sink::new();
-        let sink_id = b.add_node(Box::new(sink));
-        b.add_node(Box::new(
-            DistSource::new(
-                sink_id,
-                FlowId::PADDED,
-                PacketKind::Payload,
-                Box::new(Deterministic::new(0.001).unwrap()),
-                Box::new(Deterministic::new(64.0).unwrap()),
-            )
-            .with_limit(7),
-        ));
-        let mut sim = b.build().unwrap();
-        sim.run_until(SimTime::from_secs_f64(10.0));
-        assert_eq!(handle.count(), 7);
-    }
-
-    #[test]
-    fn zero_limit_emits_nothing() {
-        let mut b = SimBuilder::new(MasterSeed::new(4));
-        let (handle, sink) = Sink::new();
-        let sink_id = b.add_node(Box::new(sink));
-        b.add_node(Box::new(
-            DistSource::new(
-                sink_id,
-                FlowId::PADDED,
-                PacketKind::Payload,
-                Box::new(Deterministic::new(0.001).unwrap()),
-                Box::new(Deterministic::new(64.0).unwrap()),
-            )
-            .with_limit(0),
-        ));
-        let mut sim = b.build().unwrap();
-        sim.run_until(SimTime::from_secs_f64(1.0));
-        assert_eq!(handle.count(), 0);
-    }
-
-    #[test]
-    fn initial_delay_shifts_first_packet() {
-        let mut b = SimBuilder::new(MasterSeed::new(5));
-        let (handle, sink) = Sink::new();
-        let sink_id = b.add_node(Box::new(sink));
-        b.add_node(Box::new(
-            DistSource::new(
-                sink_id,
-                FlowId::PADDED,
-                PacketKind::Payload,
-                Box::new(Deterministic::new(0.010).unwrap()),
-                Box::new(Deterministic::new(64.0).unwrap()),
-            )
-            .with_initial_delay(SimDuration::from_secs_f64(0.5))
-            .with_label("delayed"),
-        ));
-        let mut sim = b.build().unwrap();
-        sim.run_until(SimTime::from_secs_f64(1.0));
-        let first = handle.arrival_times()[0];
-        assert_eq!(first.as_nanos(), 510_000_000);
-    }
-
-    #[test]
     fn sizes_are_clamped_to_at_least_one_byte() {
         let mut b = SimBuilder::new(MasterSeed::new(6));
         let (handle, sink) = Sink::new();
         let sink_id = b.add_node(Box::new(sink));
-        b.add_node(Box::new(
-            DistSource::new(
-                sink_id,
-                FlowId::PADDED,
-                PacketKind::Payload,
-                Box::new(Deterministic::new(0.01).unwrap()),
-                Box::new(Deterministic::new(-5.0).unwrap()), // degenerate size law
-            )
-            .with_limit(3),
-        ));
+        b.add_node(Box::new(DistSource::new(
+            sink_id,
+            FlowId::PADDED,
+            PacketKind::Payload,
+            Box::new(Deterministic::new(0.01).unwrap()),
+            Box::new(Deterministic::new(-5.0).unwrap()), // degenerate size law
+        )));
         let mut sim = b.build().unwrap();
-        sim.run_until(SimTime::from_secs_f64(1.0));
+        // Emissions at 10, 20 and 30 ms fall before the horizon.
+        sim.run_until(SimTime::from_secs_f64(0.035));
         assert_eq!(handle.count(), 3);
         assert_eq!(handle.bytes(), 3); // clamped to 1 byte each
     }

@@ -140,8 +140,10 @@ pub struct AggregateSpec {
     /// When set, flows other than the instrumented target are simulated
     /// as [`FlowCohort`]s of up to this many flows each — one node and
     /// one pending timer per cohort instead of per flow — which is what
-    /// takes the family from ~10⁴ to 10⁶ flows. Requires the CIT
-    /// schedule (the superposition is exact only for CIT; see
+    /// takes the family from ~10⁴ to 10⁶ flows. Deterministic schedules
+    /// (CIT, constant-rate) run the cohort's exact comb; stochastic ones
+    /// run its per-member heap, and reactive adaptive padding is
+    /// refused (see `ScheduleSpec::cohort_support` and
     /// `linkpad_sim::cohort`). The cohorts' wire traffic carries
     /// [`COHORT_FLOW`] and is absorbed at the trunk demux; QoS
     /// instrumentation exists only for the target flow.
@@ -200,15 +202,13 @@ impl AggregateSpec {
 /// shard carrying global flows `[base, base+n)` indexes its branch table
 /// locally, and an **absorb** flow id terminated in place — cohort
 /// traffic has been observed by the trunk instrument and has no
-/// receiver, and absorbing it here (counted) saves one event per packet
-/// at million-flow scale.
+/// receiver, and absorbing it here saves one event per packet at
+/// million-flow scale.
 #[derive(Debug)]
 pub struct TrunkDemux {
     nexts: Vec<NodeId>,
     base: usize,
     absorb: Option<FlowId>,
-    forwarded: u64,
-    absorbed: u64,
 }
 
 impl TrunkDemux {
@@ -218,8 +218,6 @@ impl TrunkDemux {
             nexts,
             base: 0,
             absorb: None,
-            forwarded: 0,
-            absorbed: 0,
         }
     }
 
@@ -229,21 +227,11 @@ impl TrunkDemux {
         self
     }
 
-    /// Terminate packets of this flow id in place (counted), instead of
-    /// requiring a branch — the cohort-traffic sink.
+    /// Terminate packets of this flow id in place, instead of requiring
+    /// a branch — the cohort-traffic sink.
     pub fn with_absorb(mut self, flow: FlowId) -> Self {
         self.absorb = Some(flow);
         self
-    }
-
-    /// Packets forwarded to a per-flow branch.
-    pub fn forwarded(&self) -> u64 {
-        self.forwarded
-    }
-
-    /// Packets terminated by the absorb rule.
-    pub fn absorbed(&self) -> u64 {
-        self.absorbed
     }
 
     /// The branch for a packet, or `None` for absorbed traffic.
@@ -268,12 +256,8 @@ impl TrunkDemux {
 
 impl Node for TrunkDemux {
     fn on_packet(&mut self, packet: Packet, ctx: &mut Context<'_>) {
-        match self.branch(&packet) {
-            Some(next) => {
-                self.forwarded += 1;
-                ctx.send_now(next, packet);
-            }
-            None => self.absorbed += 1,
+        if let Some(next) = self.branch(&packet) {
+            ctx.send_now(next, packet);
         }
     }
 
@@ -281,20 +265,14 @@ impl Node for TrunkDemux {
         // Burst path: at cohort scale a whole period's emissions arrive
         // as one same-instant batch, and almost all of it absorbs.
         for packet in packets.drain(..) {
-            match self.branch(&packet) {
-                Some(next) => {
-                    self.forwarded += 1;
-                    ctx.send_now(next, packet);
-                }
-                None => self.absorbed += 1,
+            if let Some(next) = self.branch(&packet) {
+                ctx.send_now(next, packet);
             }
         }
     }
 
-    fn reset(&mut self) {
-        self.forwarded = 0;
-        self.absorbed = 0;
-    }
+    /// The demux keeps no per-run state.
+    fn reset(&mut self) {}
 
     fn label(&self) -> &str {
         "trunk-demux"

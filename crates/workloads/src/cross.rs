@@ -1,5 +1,5 @@
-//! Cross-traffic models: packet-size mixes, utilization targeting, and
-//! diurnal (hour-of-day) utilization profiles.
+//! Cross-traffic models: the Internet packet-size mix, utilization
+//! targeting, and diurnal (hour-of-day) utilization profiles.
 //!
 //! The paper's Fig. 6 sweeps the *shared-link utilization* produced by a
 //! cross-traffic workstation; Fig. 8 observes detection rate across a
@@ -9,40 +9,16 @@
 //! construct cross sources that hit a target utilization and modulate it
 //! by hour of day.
 
-use linkpad_stats::dist::{Categorical, ContinuousDist, Exponential, Pareto};
+use linkpad_stats::dist::{Categorical, ContinuousDist, Exponential};
 use linkpad_stats::StatsError;
 
-/// A packet-size mixture for cross traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SizeMix {
-    /// Internet-like trimodal mix: 40% 64 B (ACKs), 35% 550 B, 25% 1500 B.
-    InternetTrimodal,
-    /// All packets 1500 B (bulk transfer).
-    Bulk1500,
-    /// All packets 64 B (interactive).
-    Interactive64,
-}
+/// Mean cross-traffic packet size in bytes under [`internet_size_law`].
+pub const INTERNET_MEAN_BYTES: f64 = 64.0 * 0.40 + 550.0 * 0.35 + 1500.0 * 0.25;
 
-impl SizeMix {
-    /// Materialize the size distribution (bytes).
-    pub fn law(&self) -> Result<Categorical, StatsError> {
-        match self {
-            SizeMix::InternetTrimodal => {
-                Categorical::new(&[(64.0, 0.40), (550.0, 0.35), (1500.0, 0.25)])
-            }
-            SizeMix::Bulk1500 => Categorical::new(&[(1500.0, 1.0)]),
-            SizeMix::Interactive64 => Categorical::new(&[(64.0, 1.0)]),
-        }
-    }
-
-    /// Mean packet size in bytes.
-    pub fn mean_bytes(&self) -> f64 {
-        match self {
-            SizeMix::InternetTrimodal => 64.0 * 0.40 + 550.0 * 0.35 + 1500.0 * 0.25,
-            SizeMix::Bulk1500 => 1500.0,
-            SizeMix::Interactive64 => 64.0,
-        }
-    }
+/// The cross-traffic packet-size law (bytes): an Internet-like trimodal
+/// mix of 40% 64 B (ACKs), 35% 550 B and 25% 1500 B.
+pub fn internet_size_law() -> Result<Categorical, StatsError> {
+    Categorical::new(&[(64.0, 0.40), (550.0, 0.35), (1500.0, 0.25)])
 }
 
 /// Cross-traffic packet rate (packets/s) that loads a link of
@@ -67,22 +43,10 @@ pub fn cross_rate_for_utilization(
     Ok(utilization * link_bps / (8.0 * mean_size_bytes))
 }
 
-/// Inter-arrival law for a cross source at `rate` packets/s.
-///
-/// `bursty = false` → Poisson (exponential gaps). `bursty = true` →
-/// Pareto gaps with tail index 2.1 — just above the infinite-variance
-/// threshold, so the law keeps finite moments while being far more
-/// clumped than Poisson (CV² = 1/(α(α−2)) ≈ 4.8 vs 1) — scaled to the
-/// same mean rate.
-pub fn cross_interval_law(rate: f64, bursty: bool) -> Result<Box<dyn ContinuousDist>, StatsError> {
-    if bursty {
-        let alpha = 2.1;
-        // Pareto mean = α·x_m/(α−1) = 1/rate  ⇒  x_m = (α−1)/(α·rate)
-        let x_m = (alpha - 1.0) / (alpha * rate);
-        Ok(Box::new(Pareto::new(x_m, alpha)?))
-    } else {
-        Ok(Box::new(Exponential::with_rate(rate)?))
-    }
+/// Inter-arrival law for a Poisson cross source at `rate` packets/s
+/// (exponential gaps).
+pub fn cross_interval_law(rate: f64) -> Result<Box<dyn ContinuousDist>, StatsError> {
+    Ok(Box::new(Exponential::with_rate(rate)?))
 }
 
 /// Hour-of-day utilization profile: `u(h) = base + amp·bump(h)` where
@@ -161,11 +125,10 @@ mod tests {
     use linkpad_stats::rng::MasterSeed;
 
     #[test]
-    fn size_mix_means() {
-        assert!((SizeMix::InternetTrimodal.mean_bytes() - 593.1).abs() < 0.2);
-        assert_eq!(SizeMix::Bulk1500.mean_bytes(), 1500.0);
-        let law = SizeMix::InternetTrimodal.law().unwrap();
-        assert!((law.mean() - SizeMix::InternetTrimodal.mean_bytes()).abs() < 1e-9);
+    fn internet_mix_mean_matches_its_law() {
+        assert!((INTERNET_MEAN_BYTES - 593.1).abs() < 0.2);
+        let law = internet_size_law().unwrap();
+        assert!((law.mean() - INTERNET_MEAN_BYTES).abs() < 1e-9);
     }
 
     #[test]
@@ -186,25 +149,16 @@ mod tests {
     }
 
     #[test]
-    fn interval_laws_have_matching_rates() {
+    fn interval_law_has_matching_rate() {
         let mut rng = MasterSeed::new(9).stream(0);
-        for bursty in [false, true] {
-            let law = cross_interval_law(1000.0, bursty).unwrap();
-            assert!((law.mean() - 1e-3).abs() < 1e-12, "bursty={bursty}");
-            let mut acc = 0.0;
-            for _ in 0..50_000 {
-                acc += law.sample(&mut rng);
-            }
-            let emp = acc / 50_000.0;
-            assert!((emp - 1e-3).abs() < 1e-4, "bursty={bursty}: {emp}");
+        let law = cross_interval_law(1000.0).unwrap();
+        assert!((law.mean() - 1e-3).abs() < 1e-12);
+        let mut acc = 0.0;
+        for _ in 0..50_000 {
+            acc += law.sample(&mut rng);
         }
-    }
-
-    #[test]
-    fn bursty_law_is_more_variable() {
-        let poisson = cross_interval_law(100.0, false).unwrap();
-        let pareto = cross_interval_law(100.0, true).unwrap();
-        assert!(pareto.variance() > poisson.variance());
+        let emp = acc / 50_000.0;
+        assert!((emp - 1e-3).abs() < 1e-4, "{emp}");
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!   the aggregate, and an N-way flow demux behind it. Cohort mode
 //!   ([`ScenarioBuilder::with_cohorts`](scenario::ScenarioBuilder::with_cohorts))
 //!   swaps the non-target pairs for `FlowCohort` superposition nodes;
-//!   [`PhaseSpec`](aggregate::PhaseSpec) lays out the padding-clock
+//!   [`PhaseSpec`] lays out the padding-clock
 //!   start phases (the desynchronized-clock knob).
 //! * [`shard`] — sharded aggregate execution: split one trunk
 //!   scenario's flow population over worker sub-sims and merge the
@@ -45,7 +45,7 @@ pub mod switching;
 
 pub use aggregate::{AggregateSpec, PhaseSpec, SwitchingSpec, TrunkDemux};
 pub use background::BackgroundNoiseHop;
-pub use cross::{cross_rate_for_utilization, DiurnalProfile, SizeMix};
+pub use cross::{cross_rate_for_utilization, internet_size_law, DiurnalProfile};
 pub use demux::FlowDemux;
 pub use scenario::{AggregateHandles, BuiltScenario, ScenarioBuilder, TapPosition};
 pub use shard::{ShardReport, ShardedAggregate, ShardedRun};

@@ -15,7 +15,9 @@
 //! gateway/receiver handles for QoS and overhead accounting.
 
 use crate::aggregate::{AggregateSpec, PhaseSpec, SwitchingSpec};
-use crate::cross::{cross_interval_law, cross_rate_for_utilization, SizeMix};
+use crate::cross::{
+    cross_interval_law, cross_rate_for_utilization, internet_size_law, INTERNET_MEAN_BYTES,
+};
 use crate::demux::FlowDemux;
 use crate::spec::{HopSpec, PayloadModel, PayloadSpec, ScheduleSpec};
 use crate::switching::RateLog;
@@ -168,7 +170,6 @@ pub struct ScenarioBuilder {
     schedule: ScheduleSpec,
     payload_model: PayloadModel,
     hops: Vec<HopSpec>,
-    size_mix: SizeMix,
     hop_propagation: f64,
     /// Capacity of the shared hop links (bits/s). Defaults to the
     /// calibrated lab value; campus/wan presets use faster links.
@@ -200,7 +201,6 @@ impl ScenarioBuilder {
             schedule: ScheduleSpec::Cit,
             payload_model: PayloadModel::Fixed,
             hops: vec![HopSpec::quiet()],
-            size_mix: SizeMix::InternetTrimodal,
             hop_propagation: 0.5e-3,
             hop_link_bps: defaults.link_bps,
             discipline: defaults.discipline,
@@ -244,12 +244,6 @@ impl ScenarioBuilder {
         s.hop_link_bps = 1.3e9;
         s.label = "wan";
         s
-    }
-
-    /// Override the shared hop link capacity (bits/s).
-    pub fn with_hop_link_bps(mut self, bps: f64) -> Self {
-        self.hop_link_bps = bps;
-        self
     }
 
     /// Override the aggregate trunk (capacity in bits/s, propagation in
@@ -395,21 +389,9 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Cross-traffic packet-size mix.
-    pub fn with_size_mix(mut self, mix: SizeMix) -> Self {
-        self.size_mix = mix;
-        self
-    }
-
     /// Gateway timer discipline (ablation).
     pub fn with_discipline(mut self, discipline: TimerDiscipline) -> Self {
         self.discipline = discipline;
-        self
-    }
-
-    /// Override the calibrated defaults wholesale.
-    pub fn with_defaults(mut self, defaults: CalibratedDefaults) -> Self {
-        self.defaults = defaults;
         self
     }
 
@@ -498,7 +480,7 @@ impl ScenarioBuilder {
                     next_for_padded,
                     self.hop_link_bps,
                     hop.utilization,
-                    self.size_mix.mean_bytes(),
+                    INTERNET_MEAN_BYTES,
                     SimDuration::from_secs_f64(self.hop_propagation),
                 )?;
                 next_for_padded = b.add_node(Box::new(bg.with_label(format!("bg-hop-{i}"))));
@@ -522,16 +504,16 @@ impl ScenarioBuilder {
                 let rate = cross_rate_for_utilization(
                     hop.utilization,
                     self.hop_link_bps,
-                    self.size_mix.mean_bytes(),
+                    INTERNET_MEAN_BYTES,
                 )?;
-                let interval = cross_interval_law(rate, hop.bursty)?;
+                let interval = cross_interval_law(rate)?;
                 b.add_node(Box::new(
                     DistSource::new(
                         router_id,
                         FlowId::CROSS,
                         PacketKind::Cross,
                         interval,
-                        Box::new(self.size_mix.law()?),
+                        Box::new(internet_size_law()?),
                     )
                     .with_label(format!("cross-{i}")),
                 ));

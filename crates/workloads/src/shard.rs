@@ -8,12 +8,11 @@
 //! RNG streams and, under CIT, its wire output is a phase-offset comb —
 //! so the population can be **partitioned**: [`ShardedAggregate`] splits
 //! the global flow range over `shards` sub-simulations, runs each on a
-//! worker (dynamic work-stealing via
-//! [`parallel_map_init_catching`](linkpad_sim::parallel::parallel_map_init_catching),
+//! worker (dynamic work-stealing via [`parallel_map_init_catching`],
 //! with per-worker topology reuse through [`BuiltScenario::reset`] when
 //! consecutive shards share a shape), and merges the per-shard trunk
 //! window series into one trunk view with
-//! [`merge_window_series`](linkpad_sim::observer::merge_window_series).
+//! [`merge_window_series`].
 //!
 //! **Harness fault tolerance.** A panicking shard worker no longer
 //! tears the whole fan-out down: the panic is caught in the worker
@@ -59,26 +58,13 @@ use linkpad_obs::{
     TraceReport, Truncation,
 };
 use linkpad_sim::observer::{merge_window_series, WindowStats};
-use linkpad_sim::parallel::{default_threads, parallel_map_init_catching};
+use linkpad_sim::parallel::{default_threads, panic_message, parallel_map_init_catching};
 use linkpad_sim::time::SimDuration;
 use linkpad_stats::rng::splitmix64_mix;
-use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Render a caught panic payload (the retry path's own `catch_unwind`;
-/// first attempts go through `ItemPanic`, which does the same).
-fn panic_cause(payload: Box<dyn Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
 
 /// The metric snapshot of one trunk view: the **exactly superposable**
 /// counters (arrivals, per-window counts and bytes summed) plus peak
@@ -522,7 +508,7 @@ impl ShardedAggregate {
                         Err(payload) => {
                             return Err(ScenarioError::ShardFailed {
                                 shard: s,
-                                cause: panic_cause(payload),
+                                cause: panic_message(payload),
                             });
                         }
                     }

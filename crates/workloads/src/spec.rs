@@ -277,9 +277,6 @@ pub struct HopSpec {
     /// Target utilization of the hop's shared egress link contributed by
     /// cross traffic (0 disables the cross source).
     pub utilization: f64,
-    /// Bursty (Pareto inter-arrival) rather than Poisson cross traffic
-    /// (packet-level hops only).
-    pub bursty: bool,
     /// Model the hop as fluid background load (M/M/1 stationary wait
     /// injection) instead of simulating individual cross packets. Exact
     /// for padding probes far slower than the queue's relaxation time;
@@ -292,7 +289,6 @@ impl HopSpec {
     pub fn quiet() -> Self {
         Self {
             utilization: 0.0,
-            bursty: false,
             background: false,
         }
     }
@@ -301,16 +297,6 @@ impl HopSpec {
     pub fn poisson(utilization: f64) -> Self {
         Self {
             utilization,
-            bursty: false,
-            background: false,
-        }
-    }
-
-    /// A packet-level bursty hop at the given utilization.
-    pub fn bursty(utilization: f64) -> Self {
-        Self {
-            utilization,
-            bursty: true,
             background: false,
         }
     }
@@ -319,7 +305,6 @@ impl HopSpec {
     pub fn background(utilization: f64) -> Self {
         Self {
             utilization,
-            bursty: false,
             background: true,
         }
     }
@@ -473,7 +458,7 @@ mod tests {
     #[test]
     fn hop_constructors() {
         assert_eq!(HopSpec::quiet().utilization, 0.0);
-        assert!(!HopSpec::poisson(0.3).bursty);
-        assert!(HopSpec::bursty(0.3).bursty);
+        assert!(!HopSpec::poisson(0.3).background);
+        assert!(HopSpec::background(0.3).background);
     }
 }

@@ -27,13 +27,10 @@ fn fault_plan() -> FaultPlan {
             loss_good: 0.01,
             loss_bad: 0.3,
         })
-        .with_trunk_outage(
-            OutageSchedule::new(
-                SimDuration::from_secs_f64(1.0),
-                SimDuration::from_secs_f64(0.08),
-            )
-            .with_phase(SimDuration::from_secs_f64(0.3)),
-        )
+        .with_trunk_outage(OutageSchedule::new(
+            SimDuration::from_secs_f64(1.0),
+            SimDuration::from_secs_f64(0.08),
+        ))
         .with_observer_gaps(OutageSchedule::new(
             SimDuration::from_secs_f64(0.7),
             SimDuration::from_secs_f64(0.21),

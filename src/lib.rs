@@ -82,7 +82,7 @@ pub mod prelude {
     pub use linkpad_core::schedule::PaddingSchedule;
     pub use linkpad_sim::cohort::{CohortJitter, FlowCohort};
     pub use linkpad_sim::observer::{ObserverHandle, WindowStats, WindowedObserver};
-    pub use linkpad_sim::parallel::{parallel_map, parallel_map_init};
+    pub use linkpad_sim::parallel::parallel_map_init;
     pub use linkpad_sim::time::{SimDuration, SimTime};
     pub use linkpad_stats::rng::MasterSeed;
     pub use linkpad_testbed::live::{run_live, LiveConfig};
